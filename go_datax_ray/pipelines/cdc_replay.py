@@ -4,14 +4,17 @@ go-datax's whole job model — JobContainer phases init/prepare/split/
 schedule/post driving reader->channel->writer goroutine pairs
 (/root/reference/core/job/jobcontainer.go:61-138, /root/reference/core/
 task/taskgroupcontainer.go:39-239) — collapses into one Ray Data
-streaming pipeline per epoch:
+pipeline per epoch:
 
     source.read(lo, hi)                      # split: lsn-range read tasks
-      .map_batches(add_part_id)              # key-hash partitioner
-      .map_batches(lww_combine_batch)        # combiner: shrink the shuffle
-      [.groupby(part_id, salt).map_groups(lww)]   # salted pre-reduce (skew)
-      .groupby(part_id).map_groups(merge)    # shuffle + merge-apply
+      .map_batches(prepare)                  # transform, drop text,
+                                             # add_part_id, LWW combine
+      .write_parquet(partition_cols=[part_id])   # per-partition deltas
+    -> one merge task per partition id       # committed file + deltas
     -> driver commits the epoch atomically (manifest + rename)
+
+``ParquetWalSource`` runs the same ``prepare`` inside its row-group read
+task instead (see ``_prepared_ds``).
 
 The epoch loop is the checkpoint unit: a crash between epochs resumes
 from the manifest watermark; a crash mid-epoch replays the whole epoch,
@@ -28,11 +31,25 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import evolve
-from ..sinks.lake import make_partition_merger, schema_from_json
-from ..stages.lww import lww_combine_batch, lww_table, lww_combine_counted
-from ..stages.partition import add_part_id, add_salt
+from ..sinks.lake import make_delta_merger, schema_from_json, schema_to_json
+from ..stages.lww import lww_combine_counted
+from ..stages.partition import add_part_id
+from ..state.fs import LakeFS
 from ..state.manifest import Manifest
-from ..synth import EventGen, SynthConfig
+from ..synth import SynthConfig, gen_events
+
+# Codec of the intra-epoch delta files. BASELINE.md §3g: zstd-1 writes
+# 24% fewer bytes than lz4 but is slower wall-to-wall, because on local
+# storage the delta write is encode-bound, not byte-bound.
+_DELTA_COMPRESSION = "lz4"
+# The combiner copies the whole (html-wide) batch, so batches whose
+# in-batch duplicate ratio is below this pass through uncombined; the
+# merge LWWs anyway (stages.lww).
+_COMBINE_MIN_REDUCTION = 0.05
+# Rows per prepare call: the delta write emits one file per (block,
+# partition), so larger blocks give fewer, larger delta files and bound
+# the merge's per-file open cost. 32k rows x ~4 KB pages ~ 128 MB.
+_PREPARE_ROWS = 32768
 
 
 class EventSource(Protocol):
@@ -59,11 +76,10 @@ class SynthEventSource:
         import ray.data as rd
 
         return rd.range(hi - lo).map_batches(
-            EventGen,
-            fn_constructor_args=(self.cfg, lo),
+            gen_events,
+            fn_args=(self.cfg, lo),
             batch_format="pyarrow",
             batch_size=8192,
-            concurrency=(1, 16),
         )
 
 
@@ -186,47 +202,63 @@ class ParquetWalSource:
         )
 
 
-def _fragment_prepared_ds(source, lo: int, hi: int, cfg: "ReplayConfig",
-                          rows_per_task: int = 32768):
-    """FUSED epoch preparation: read + transform + drop-text +
-    add_part_id + LWW-combine in ONE map task per row-group bundle.
+def make_prepare(cfg: "ReplayConfig"):
+    """The one prepare function every source's events go through:
+    transform -> drop source text (when the engine derives it) ->
+    add_part_id -> within-batch LWW combine."""
+    transform = cfg.transform
+    drop_text = cfg.extract_text
+    key, nparts, hash_fn = cfg.key, cfg.num_partitions, cfg.hash_fn
 
-    Ray 2.49 never fuses ReadParquet with downstream map_batches, so the
-    separate-stage path round-trips the raw payload (html) through the
-    object store between the read operator and the partition/LWW maps —
-    measured as the epoch's worst-scaling phase at 8->32 cpus (memory
-    bandwidth, not CPU). Doing the read INSIDE the processing function
-    removes that full-corpus hop; only the LWW-combined winners enter
-    the object store. Fragments are bundled to ~rows_per_task so each
-    output block spans ~128 MB of pages and the delta write emits
-    few-per-partition files (the merge's open cost stays bounded).
-    NOTE: the stages must be fused MANUALLY in one function — composing
+    def prepare(t: pa.Table) -> pa.Table:
+        if transform is not None:
+            t = transform(t)
+        if drop_text and "text" in t.column_names:
+            t = t.drop_columns(["text"])
+        t = add_part_id(t, key=key, num_partitions=nparts, hash_fn=hash_fn)
+        return lww_combine_counted(t, min_reduction=_COMBINE_MIN_REDUCTION)
+
+    return prepare
+
+
+def _prepared_ds(source, lo: int, hi: int, cfg: "ReplayConfig"):
+    """The epoch's prepared events as a Dataset, or None when a
+    fragment-aware source has nothing in [lo, hi).
+
+    Sources with ``fragments()`` (ParquetWalSource) are FUSED: each map
+    task reads its row groups and runs ``prepare`` in the same function.
+    Ray 2.49 never fuses ReadParquet with downstream map_batches, so a
+    separate read stage would round-trip the raw payload (html) through
+    the object store before prepare — measured as the epoch's
+    worst-scaling phase at 8->32 cpus (memory bandwidth, not CPU). Here
+    only the LWW-combined winners enter the object store. Fragments are
+    bundled to ~_PREPARE_ROWS rows per task.
+    NOTE: the read must be fused MANUALLY in one function — composing
     map_batches stages with a batch_size on the tail makes Ray's fusion
     unify the batch size across the whole fused operator, coalescing the
     tiny path-items input into ONE serial task (measured 22 s vs 3 s).
 
-    Returns None when the source has no fragment support or no
-    overlapping data."""
+    Every other source gets one ``map_batches(prepare)`` after
+    ``source.read()``."""
+    import ray.data as rd
+
+    prepare = make_prepare(cfg)
     if not hasattr(source, "fragments"):
-        return None
+        return source.read(lo, hi).map_batches(
+            prepare, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=_PREPARE_ROWS,
+        )
     frags = source.fragments(lo, hi)
     if not frags:
         return None
     import json as _json
 
-    import ray.data as rd
-
-    # bundle consecutive fragments to ~rows_per_task rows per task
-    per = max(1, rows_per_task // 8192)
+    per = max(1, _PREPARE_ROWS // 8192)
     bundles = [
         _json.dumps(frags[i : i + per]) for i in range(0, len(frags), per)
     ]
-    transform = cfg.transform
-    drop_text = cfg.extract_text
-    key, nparts, hash_fn = cfg.key, cfg.num_partitions, cfg.hash_fn
-    min_red = cfg.combine_min_reduction
 
-    def read_and_prepare(batch: dict) -> pa.Table:
+    def read_and_prepare(batch: dict):
         import pyarrow.parquet as pq
 
         tables = []
@@ -240,31 +272,18 @@ def _fragment_prepared_ds(source, lo: int, hi: int, cfg: "ReplayConfig",
                 )
                 if t.num_rows:
                     tables.append(t)
-        if not tables:
-            return None  # filtered-empty bundle -> no block
-        t = pa.concat_tables(tables)
-        if transform is not None:
-            t = transform(t)
-        if drop_text and "text" in t.column_names:
-            t = t.drop_columns(["text"])
-        t = add_part_id(t, key=key, num_partitions=nparts, hash_fn=hash_fn)
-        return lww_combine_counted(t, min_reduction=min_red)
-
-    def safe(batch: dict):
-        out = read_and_prepare(batch)
-        if out is not None:
-            yield out
+        if tables:  # a filtered-empty bundle yields no block
+            yield prepare(pa.concat_tables(tables))
 
     return rd.from_items(
         [{"b": b} for b in bundles], override_num_blocks=len(bundles)
-    ).map_batches(safe, batch_format="numpy", batch_size=1)
+    ).map_batches(read_and_prepare, batch_format="numpy", batch_size=1)
 
 
 @dataclass
 class ReplayConfig:
     lake_dir: str
     num_partitions: int = 32
-    num_salts: int = 0  # 0/1 disables the salted pre-reduce (groupby mode)
     epoch_size: int = 1_000_000
     key: str = "url"
     # Partition hash family: "crc32" (reference-exact CRC32(pk)%N hot
@@ -274,25 +293,11 @@ class ReplayConfig:
     hash_fn: str = "crc32"
     use_metrics: bool = False
     report: bool = False  # print per-epoch speed lines
-    # Partition exchange strategy:
-    #   "delta"    — write-side partitioning: combined winners are written
-    #                straight into per-partition delta files
-    #                (write_parquet(partition_cols=[part_id])), then P
-    #                embarrassingly-parallel merge tasks compact each
-    #                partition (LSM/Hudi-style write-then-compact). No
-    #                shuffle operator at all; measured ~5x faster than the
-    #                sort-based groupby locally and the natural shape for
-    #                multi-node CDC ingest (deltas land on shared storage).
-    #   "repartition" — hash repartition by part_id through the object
-    #                store, then per-block multi-partition merge.
-    #   "groupby"  — groupby(part_id).map_groups merge (supports the
-    #                salted two-phase pre-reduce for hot keys).
-    exchange: str = "delta"
     # Derive text = extract_text(html) inside the engine instead of
     # trusting/carrying the source's text column. The incoming text column
-    # (if any) is dropped BEFORE the exchange and extraction runs on the
-    # post-LWW winner set inside the merge: derived payload never enters
-    # the shuffle, and extraction cost is per surviving key, not per event
+    # (if any) is dropped in prepare and extraction runs on the post-LWW
+    # winner set inside the merge: derived payload never enters the delta
+    # files, and extraction cost is per surviving key, not per event
     # (the realistic profile of webtext CDC ingest — events arrive as raw
     # html; byte-identity of the extractor is enforced by tests).
     extract_text: bool = False
@@ -309,21 +314,6 @@ class ReplayConfig:
     # already in memory there), committed-epoch visibility via the
     # manifest; read with sinks.views.read_view.
     views: tuple = ()
-    # Codec for the intra-epoch delta temporaries (the exchange's entire
-    # byte volume — html-dominated). Round-5 A/B (BASELINE.md §3g):
-    # zstd-1 writes 24% fewer bytes than lz4 (455 vs 601 MB/epoch at
-    # sf0.1) but is consistently SLOWER wall-to-wall at both 8 and 32
-    # cpus — on tmpfs the exchange is encode-CPU-bound, not byte-bound,
-    # so lz4 stays the default. Deployments whose delta dir is a real
-    # network object store (where bytes ARE the constraint) should flip
-    # to ("zstd", 1) — the knob exists for exactly that.
-    delta_compression: str = "lz4"
-    delta_compression_level: int = 1
-    # Shuffle-combiner cost gate: a within-batch LWW take copies the
-    # whole (html-wide) batch, so batches whose in-batch duplicate ratio
-    # is below this threshold pass through uncombined (the merge LWWs
-    # anyway; only exchange bytes change). See stages.lww.
-    combine_min_reduction: float = 0.05
 
 
 @dataclass
@@ -356,108 +346,38 @@ def _delta_dir_bytes(fsh, delta_dir: str) -> int:
     return total
 
 
-def _exchange_and_merge(ds, cfg: ReplayConfig, man: Manifest, epoch: int,
-                        committed: dict[int, str], metrics,
-                        exchange_stats: dict | None = None) -> list[dict]:
-    """Run the configured partition exchange + merge; return manifest rows.
-    ``exchange_stats`` (when given) receives byte-accounting for the
-    exchange: {"delta_bytes": N} on the delta path."""
-    import os
-    import shutil
-
+def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
+                     committed: dict[int, str], stats: dict) -> list[dict]:
+    """The delta exchange: write the prepared events into per-partition
+    delta files (``write_parquet(partition_cols=[part_id])``), then merge
+    each partition in its own task (write-then-compact, no shuffle
+    operator). Returns the manifest entry rows; ``stats`` receives
+    ``delta_bytes``, the exchange's byte volume."""
     import ray.data as rd
 
-    from ..sinks.lake import make_delta_merger
-
-    if cfg.exchange == "delta":
-        from ..state.fs import LakeFS
-
-        fsh = LakeFS(cfg.lake_dir)
-        delta_dir = fsh.join("_delta", f"epoch-{epoch:06d}")
-        fsh.rmtree(delta_dir)  # idempotent epoch restart
-        pafs = fsh.pa_filesystem()
-        comp = {"compression": cfg.delta_compression}
-        if cfg.delta_compression == "zstd":
-            comp["compression_level"] = cfg.delta_compression_level
-        ds.write_parquet(delta_dir, partition_cols=["part_id"], **comp,
-                         **({"filesystem": pafs} if pafs is not None else {}))
-        pids = sorted(
-            int(d.split("=", 1)[1])
-            for d in fsh.listdir(delta_dir)
-            if d.startswith("part_id=")
-        ) if fsh.isdir(delta_dir) else []
-        if exchange_stats is not None and pids:
-            exchange_stats["delta_bytes"] = _delta_dir_bytes(fsh, delta_dir)
-        if not pids:
-            return []
-        merge = make_delta_merger(
-            cfg.lake_dir, epoch, committed, delta_dir, metrics,
-            extract_missing_text=cfg.extract_text, view_specs=cfg.views,
-        )
-        pid_ds = rd.from_items([{"pid": p} for p in pids], override_num_blocks=len(pids))
-        entries = pid_ds.map_batches(merge, batch_format="numpy", batch_size=1).take_all()
-        fsh.rmtree(delta_dir)
-        return entries
-
-    if cfg.exchange == "repartition":
-        merge = make_partition_merger(
-            cfg.lake_dir, epoch, committed, metrics,
-            extract_missing_text=cfg.extract_text, view_specs=cfg.views,
-        )
-
-        def merge_multi(batch: pa.Table) -> pa.Table:
-            outs = []
-            for pid in pc.unique(batch.column("part_id")).to_pylist():
-                outs.append(
-                    merge(batch.filter(pc.equal(batch.column("part_id"), pa.scalar(pid))))
-                )
-            if not outs:
-                return pa.table(
-                    {
-                        "pid": pa.array([], pa.int64()),
-                        "rows": pa.array([], pa.int64()),
-                        "events": pa.array([], pa.int64()),
-                        "max_lsn": pa.array([], pa.int64()),
-                        "schema_json": pa.array([], pa.string()),
-                    }
-                )
-            return pa.concat_tables(outs)
-
-        from ray.data.context import ShuffleStrategy
-
-        # keyed repartition requires the hash-shuffle strategy; datasets
-        # snapshot their DataContext at creation, so set it on this
-        # dataset's own context copy.
-        ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        ds = ds.repartition(cfg.num_partitions, keys=["part_id"])
-        return ds.map_batches(
-            merge_multi, batch_format="pyarrow", batch_size=None
-        ).take_all()
-
-    if cfg.exchange == "groupby":
-        if cfg.num_salts and cfg.num_salts > 1:
-            ds = ds.map_batches(
-                add_salt,
-                fn_kwargs={"num_salts": cfg.num_salts},
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            ds = (
-                ds.groupby(["part_id", "salt"])
-                .map_groups(lww_table, batch_format="pyarrow")
-                .map_batches(
-                    lambda t: t.drop_columns(["salt"]),
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
-                )
-            )
-        merge = make_partition_merger(
-            cfg.lake_dir, epoch, committed, metrics,
-            extract_missing_text=cfg.extract_text, view_specs=cfg.views,
-        )
-        return ds.groupby("part_id").map_groups(merge, batch_format="pyarrow").take_all()
-
-    raise ValueError(f"unknown exchange {cfg.exchange!r}")
+    fsh = LakeFS(cfg.lake_dir)
+    delta_dir = fsh.join("_delta", f"epoch-{epoch:06d}")
+    fsh.rmtree(delta_dir)  # idempotent epoch restart
+    pafs = fsh.pa_filesystem()
+    ds.write_parquet(delta_dir, partition_cols=["part_id"],
+                     compression=_DELTA_COMPRESSION,
+                     **({"filesystem": pafs} if pafs is not None else {}))
+    pids = sorted(
+        int(d.split("=", 1)[1])
+        for d in fsh.listdir(delta_dir)
+        if d.startswith("part_id=")
+    ) if fsh.isdir(delta_dir) else []
+    if not pids:
+        return []
+    stats["delta_bytes"] = _delta_dir_bytes(fsh, delta_dir)
+    merge = make_delta_merger(
+        cfg.lake_dir, epoch, committed, delta_dir,
+        extract_missing_text=cfg.extract_text, view_specs=cfg.views,
+    )
+    pid_ds = rd.from_items([{"pid": p} for p in pids], override_num_blocks=len(pids))
+    entries = pid_ds.map_batches(merge, batch_format="numpy", batch_size=1).take_all()
+    fsh.rmtree(delta_dir)
+    return entries
 
 
 def replay(source: EventSource, cfg: ReplayConfig) -> ReplayResult:
@@ -473,7 +393,7 @@ def replay(source: EventSource, cfg: ReplayConfig) -> ReplayResult:
 
         metrics = get_metrics_actor()
 
-    from ..state.fs import LakeFS, writer_lock
+    from ..state.fs import writer_lock
 
     fsh = LakeFS(cfg.lake_dir)
     if not fsh.local:
@@ -514,47 +434,18 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
         hi = min(lo + cfg.epoch_size, src_hi)
         epoch += 1
         t0 = time.perf_counter()
-        ds = _fragment_prepared_ds(source, lo, hi, cfg)
-        if ds is None:
-            # generic EventSource path: separate (auto-fused) map stages
-            ds = source.read(lo, hi)
-            if cfg.transform is not None:
-                ds = ds.map_batches(cfg.transform, batch_format="pyarrow", zero_copy_batch=True)
-            if cfg.extract_text:
-                ds = ds.map_batches(
-                    lambda t: t.drop_columns(["text"]) if "text" in t.column_names else t,
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
-                )
-            ds = ds.map_batches(
-                add_part_id,
-                fn_kwargs={"key": cfg.key, "num_partitions": cfg.num_partitions,
-                           "hash_fn": cfg.hash_fn},
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            # batch_size here also COALESCES blocks: the delta write emits
-            # one file per (block, partition), so larger blocks -> ~P
-            # fewer, larger delta files -> the merge's per-file open
-            # overhead stays bounded. 32k rows x ~4KB pages ~ 128MB blocks.
-            ds = ds.map_batches(
-                lww_combine_counted, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=32768,
-                fn_kwargs={"min_reduction": cfg.combine_min_reduction},
-            )
+        ds = _prepared_ds(source, lo, hi, cfg)
         committed = {
             int(pid): man.partition_file(int(pid)) for pid in man.partitions
         }
         ex_stats: dict = {}
-        entries = _exchange_and_merge(ds, cfg, man, epoch, committed, metrics,
-                                      exchange_stats=ex_stats)
+        entries = [] if ds is None else _write_and_merge(
+            ds, cfg, epoch, committed, ex_stats)
         wall = time.perf_counter() - t0
         if entries:
             sch = schema_from_json(entries[0]["schema_json"])
             for e in entries[1:]:
                 sch = evolve(sch, schema_from_json(e["schema_json"]))
-            from ..sinks.lake import schema_to_json
-
             schema_json = schema_to_json(sch)
         else:
             # an epoch whose events were all filtered/absent still COMMITS
@@ -574,6 +465,11 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
         # per-partition entry counts are post-combiner applied rows.
         n_events = hi - lo
         n_applied = sum(int(e["events"]) for e in entries)
+        if metrics is not None and entries:
+            # sent from the driver, so a later driver-side snapshot is
+            # ordered after these increments (one caller, in-order calls)
+            metrics.inc_many.remote(
+                {f"partition/{int(e['pid'])}/events": int(e["events"]) for e in entries})
         res.events += n_events
         res.epochs += 1
         stat = {
@@ -584,7 +480,7 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
             "applied": n_applied,
             "wall_s": wall,
             "events_per_sec": n_events / wall if wall > 0 else 0.0,
-            **ex_stats,  # delta_bytes: exchange byte volume (delta path)
+            **ex_stats,  # delta_bytes: the delta files' byte volume
         }
         res.epoch_stats.append(stat)
         if cfg.report:

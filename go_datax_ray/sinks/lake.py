@@ -20,10 +20,10 @@ written epoch file is invisible garbage until the manifest points at it,
 so retried tasks (deterministic bytes, same path) are harmless and NO
 rename is needed on data files — the data plane is S3-compatible.
 
-The merge runs inside ``groupby("part_id").map_groups`` after the
-key-hash shuffle: each invocation sees exactly one partition's events.
-At 100 TB scale the per-partition rewrite amortises because P is sized
-so a partition is a few GB (copy-on-write upsert, Hudi/Delta-style);
+The merge runs as one task per partition id after the delta write
+(``make_delta_merger``): each task reads only its partition's delta
+files and committed file. At 100 TB scale the per-partition rewrite
+amortises because P is sized so a partition is a few GB (copy-on-write upsert, Hudi/Delta-style);
 the hot path stays vectorised Arrow end-to-end.
 """
 
@@ -31,19 +31,16 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..schema import conform, evolve
-from ..stages.lww import lww_indices, lww_sorted, lww_table
+from ..stages.lww import LWW_ORDER, lww_indices
 from ..state.fs import LakeFS
 from ..state.manifest import final_path
-
-# columns that belong to the engine, not the payload
-_ENGINE_COLS = ("part_id", "salt", "_n_ev")
 
 _TYPE_TO_STR = {
     pa.int64(): "int64",
@@ -65,11 +62,6 @@ def schema_to_json(schema: pa.Schema) -> str:
 
 def schema_from_json(s: str) -> pa.Schema:
     return pa.schema([pa.field(n, _STR_TO_TYPE[t]) for n, t in json.loads(s)])
-
-
-def _strip_engine_cols(t: pa.Table) -> pa.Table:
-    drop = [c for c in _ENGINE_COLS if c in t.column_names and c != "part_id"]
-    return t.drop_columns(drop) if drop else t
 
 
 def _fill_text(t: pa.Table) -> pa.Table:
@@ -99,75 +91,15 @@ def _fill_text(t: pa.Table) -> pa.Table:
     )
 
 
-def make_partition_merger(
-    lake_dir: str,
-    epoch: int,
-    committed: dict[int, str],
-    metrics: Any | None = None,
-    extract_missing_text: bool = False,
-    view_specs: tuple = (),
-) -> Callable[[pa.Table], pa.Table]:
-    """Build the map_groups merge fn for one epoch.
-
-    ``committed`` is the driver's manifest snapshot (pid -> absolute file
-    path) — a small dict captured in the task closure, shipped once per
-    task (broadcast), never per batch.
-    """
-
-    def merge(group: pa.Table) -> pa.Table:
-        fsh = LakeFS(lake_dir)  # per-task; fsspec caches filesystems
-        pid = int(group.column("part_id")[0].as_py())
-        # events = RAW event count: the combiner rolls superseded rows'
-        # counts into winners (_n_ev), so this is deterministic per
-        # (epoch, partition) regardless of batch structure
-        if "_n_ev" in group.column_names:
-            events = int(pa.compute.sum(group.column("_n_ev")).as_py() or 0)
-        else:
-            events = group.num_rows
-        new = _strip_engine_cols(group)
-        old_path = committed.get(pid)
-        old = None
-        if old_path is not None and fsh.exists(old_path):
-            old = fsh.read_parquet(old_path)
-            target = evolve(old.schema, new.schema)
-            merged = lww_sorted(
-                pa.concat_tables([conform(old, target), conform(new, target)])
-            )
-        else:
-            merged = lww_sorted(new)
-        if extract_missing_text:
-            merged = _fill_text(merged)
-        if view_specs:
-            # incremental view maintenance: old & merged are already in
-            # memory here — two local aggregates, no extra lake IO
-            from .views import write_view_deltas
-
-            write_view_deltas(fsh, lake_dir, view_specs, old, merged, epoch, pid)
-        out = final_path(lake_dir, pid, epoch)
-        fsh.makedirs(out.rsplit("/", 1)[0] if not fsh.local else os.path.dirname(out))
-        fsh.write_parquet(merged, out, compression="zstd", compression_level=1,
-                          row_group_size=64 * 1024)
-        if metrics is not None:
-            metrics.inc.remote(f"partition/{pid}/events", events)
-        return pa.table(
-            {
-                "pid": pa.array([pid], pa.int64()),
-                "rows": pa.array([merged.num_rows], pa.int64()),
-                "events": pa.array([events], pa.int64()),
-                "max_lsn": pa.array(
-                    [int(pa.compute.max(group.column("lsn")).as_py())], pa.int64()
-                ),
-                "schema_json": pa.array([schema_to_json(merged.schema)], pa.string()),
-            }
-        )
-
-    return merge
-
-
-# Delta-merge LWW assembly strategy: "skinny" (winner selection over
-# zero-copy key-column views, per-source winner takes — round-5 default)
-# or "concat" (round-4 full-payload conform+concat+take, kept for A/B).
-DELTA_MERGE_MODE = "skinny"
+# One row per merged partition, returned by the merge tasks to the
+# driver, which commits them as the epoch's manifest entries.
+ENTRY_SCHEMA = pa.schema([
+    ("pid", pa.int64()),
+    ("rows", pa.int64()),
+    ("events", pa.int64()),
+    ("max_lsn", pa.int64()),
+    ("schema_json", pa.string()),
+])
 
 
 def make_delta_merger(
@@ -175,7 +107,6 @@ def make_delta_merger(
     epoch: int,
     committed: dict[int, str],
     delta_dir: str,
-    metrics: Any | None = None,
     extract_missing_text: bool = False,
     view_specs: tuple = (),
 ) -> Callable[[dict], pa.Table]:
@@ -183,17 +114,76 @@ def make_delta_merger(
     each pid's delta files (written by the partition-pruned
     ``write_parquet(partition_cols=["part_id"])`` stage) are read, LWW'd
     against the committed partition file, and written to the epoch's
-    content-addressed final path (invisible until the manifest commit). Duplicate delta rows from retried upstream write tasks are
-    harmless — LWW collapses them (idempotent reduction)."""
+    content-addressed final path (invisible until the manifest commit).
+    Duplicate delta rows from retried upstream write tasks are harmless —
+    LWW collapses them (idempotent reduction).
+
+    ``committed`` is the driver's manifest snapshot (pid -> absolute file
+    path) — a small dict captured in the task closure, shipped once per
+    task, never per batch."""
     import glob as _glob
+    import posixpath
 
-    merge_mode = DELTA_MERGE_MODE  # captured at epoch start (A/B knob)
-
-    def _finish_pid(fsh, pid: int, new: pa.Table, old, events: int) -> pa.Table:
-        """Shared merge tail: text fill, view deltas, final write, entry."""
+    def merge_pid(fsh, pid: int, files: list[str]) -> dict:
+        # SKINNY-FIRST merge: each source is read ONCE, but winner
+        # selection runs over only its zero-copy (url, warc_ts, lsn)
+        # column views — the html payload of superseded rows is never
+        # concatenated or moved; each source contributes exactly its
+        # winner rows via one small take.
+        old_path = committed.get(pid)
+        old = None
+        if old_path is not None and fsh.exists(old_path):
+            old = fsh.read_parquet(old_path)  # small: committed winners
+        parts = [fsh.read_parquet(f) for f in files]
+        target = parts[0].schema
+        for p in parts[1:]:
+            target = evolve(target, p.schema)
+        # events = RAW event count: the combiner rolls superseded rows'
+        # counts into winners (_n_ev), so this is deterministic per
+        # (epoch, partition) regardless of batch structure
+        events = 0
+        for p in parts:
+            events += (int(pa.compute.sum(p.column("_n_ev")).as_py() or 0)
+                       if "_n_ev" in p.column_names else p.num_rows)
+        # old first, then delta files in sorted order: stable-sort
+        # tie-breaking is deterministic
+        skinny_cols = [k for k, _ in LWW_ORDER]
+        sources = ([old] if old is not None else []) + parts
+        skinny_schema = sources[0].select(["url", *skinny_cols]).schema
+        allk = pa.concat_tables(
+            [conform(s.select(["url", *skinny_cols]), skinny_schema)
+             for s in sources])  # zero-copy column views, tiny concat
+        winners = np.sort(lww_indices(allk))
+        # map global winner positions back to (source, local row)
+        lens = np.array([s.num_rows for s in sources], dtype=np.int64)
+        offs = np.concatenate([[0], np.cumsum(lens)])
+        new_schema = pa.schema(
+            [f for f in target if f.name != "_n_ev"]
+        ).append(pa.field("part_id", pa.int64()))
+        t2 = evolve(old.schema, new_schema) if old is not None else new_schema
+        chunks: list[pa.Table] = []
+        src_of = np.searchsorted(offs, winners, side="right") - 1
+        pid_field = pa.field("part_id", pa.int64())
+        for si in range(len(sources)):
+            rows = winners[src_of == si] - offs[si]
+            if rows.size == 0:
+                continue
+            w = sources[si].take(pa.array(rows))
+            if not (old is not None and si == 0):
+                if "_n_ev" in w.column_names:
+                    w = w.drop_columns(["_n_ev"])
+                w = w.append_column(
+                    pid_field, pa.array(np.full(w.num_rows, pid), pa.int64())
+                )
+            chunks.append(conform(w, t2))
+        new = pa.concat_tables(chunks)
+        # byte-deterministic file content: winners sorted by key
+        new = new.take(pa.compute.sort_indices(new.column("url")))
         if extract_missing_text:
             new = _fill_text(new)
         if view_specs:
+            # incremental view maintenance: old & new are already in
+            # memory here — two local aggregates, no extra lake IO
             from .views import write_view_deltas
 
             write_view_deltas(fsh, lake_dir, view_specs, old, new, epoch, pid)
@@ -201,131 +191,22 @@ def make_delta_merger(
         fsh.makedirs(outp.rsplit("/", 1)[0] if not fsh.local else os.path.dirname(outp))
         fsh.write_parquet(new, outp, compression="zstd", compression_level=1,
                           row_group_size=64 * 1024)
-        if metrics is not None:
-            metrics.inc.remote(f"partition/{pid}/events", events)
-        return pa.table(
-            {
-                "pid": pa.array([pid], pa.int64()),
-                "rows": pa.array([new.num_rows], pa.int64()),
-                "events": pa.array([events], pa.int64()),
-                "max_lsn": pa.array(
-                    [int(pa.compute.max(new.column("lsn")).as_py())], pa.int64()
-                ),
-                "schema_json": pa.array([schema_to_json(new.schema)], pa.string()),
-            }
-        )
+        return {"pid": pid, "rows": new.num_rows, "events": events,
+                "max_lsn": int(pa.compute.max(new.column("lsn")).as_py()),
+                "schema_json": schema_to_json(new.schema)}
 
     def merge_pids(batch: dict) -> pa.Table:
-        from ..stages.lww import LWW_ORDER
-
         fsh = LakeFS(lake_dir)
-        out: list[pa.Table] = []
+        out: list[dict] = []
         for pid in batch["pid"]:
             pid = int(pid)
-            pat = (os.path.join if fsh.local else __import__("posixpath").join)(
+            pat = (os.path.join if fsh.local else posixpath.join)(
                 delta_dir, f"part_id={pid}", "*.parquet"
             )
             files = sorted(_glob.glob(pat) if fsh.local else fsh.fs.glob(pat))
-            if not files:
-                continue
-            if merge_mode == "concat":
-                # round-4 shape kept for A/B: conform+concat every full
-                # delta row, then one big LWW take
-                parts = [fsh.read_parquet(f) for f in files]
-                target = parts[0].schema
-                for p in parts[1:]:
-                    target = evolve(target, p.schema)
-                new = pa.concat_tables([conform(p, target) for p in parts])
-                if "_n_ev" in new.column_names:
-                    events = int(pa.compute.sum(new.column("_n_ev")).as_py() or 0)
-                    new = new.drop_columns(["_n_ev"])
-                else:
-                    events = new.num_rows
-                new = new.append_column(
-                    "part_id", pa.array(np.full(new.num_rows, pid), pa.int64())
-                )
-                old_path = committed.get(pid)
-                old = None
-                if old_path is not None and fsh.exists(old_path):
-                    old = fsh.read_parquet(old_path)
-                    t2 = evolve(old.schema, new.schema)
-                    new = lww_sorted(
-                        pa.concat_tables([conform(old, t2), conform(new, t2)]))
-                else:
-                    new = lww_sorted(new)
-                out.append(_finish_pid(fsh, pid, new, old, events))
-                continue
-            # SKINNY-FIRST merge (round 5, 8->32 bandwidth work): each
-            # source is read ONCE, but winner selection runs over only
-            # its zero-copy (url, warc_ts, lsn) column views — the html
-            # payload of superseded rows is never concatenated or moved.
-            # The former shape conformed+concatenated every delta row's
-            # full payload before one big LWW take (~10x the winner
-            # bytes of memcpy per epoch at the bench's 10:1 update
-            # ratio); here each source contributes exactly its winner
-            # rows via one small take.
-            old_path = committed.get(pid)
-            old = None
-            if old_path is not None and fsh.exists(old_path):
-                old = fsh.read_parquet(old_path)  # small: committed winners
-            parts = [fsh.read_parquet(f) for f in files]
-            target = parts[0].schema
-            for p in parts[1:]:
-                target = evolve(target, p.schema)
-            events = 0
-            for p in parts:
-                events += (int(pa.compute.sum(p.column("_n_ev")).as_py() or 0)
-                           if "_n_ev" in p.column_names else p.num_rows)
-            # concat order mirrors the former full-table path (old first,
-            # then delta files in sorted order) so stable-sort
-            # tie-breaking is bit-identical
-            skinny_cols = [k for k, _ in LWW_ORDER]
-            sources = ([old] if old is not None else []) + parts
-            skinny_schema = sources[0].select(["url", *skinny_cols]).schema
-            allk = pa.concat_tables(
-                [conform(s.select(["url", *skinny_cols]), skinny_schema)
-                 for s in sources])  # zero-copy column views, tiny concat
-            # the ONE winner-selection kernel (stages.lww) — keeping a
-            # second inline copy here risked the merge silently
-            # desynchronizing from the combiner if tie-breaking changes
-            winners = np.sort(lww_indices(allk))
-            # map global winner positions back to (source, local row)
-            lens = np.array([s.num_rows for s in sources], dtype=np.int64)
-            offs = np.concatenate([[0], np.cumsum(lens)])
-            new_schema = pa.schema(
-                [f for f in target if f.name != "_n_ev"]
-            ).append(pa.field("part_id", pa.int64()))
-            t2 = evolve(old.schema, new_schema) if old is not None else new_schema
-            chunks: list[pa.Table] = []
-            src_of = np.searchsorted(offs, winners, side="right") - 1
-            pid_field = pa.field("part_id", pa.int64())
-            for si in range(len(sources)):
-                rows = winners[src_of == si] - offs[si]
-                if rows.size == 0:
-                    continue
-                w = sources[si].take(pa.array(rows))
-                if not (old is not None and si == 0):
-                    if "_n_ev" in w.column_names:
-                        w = w.drop_columns(["_n_ev"])
-                    w = w.append_column(
-                        pid_field, pa.array(np.full(w.num_rows, pid), pa.int64())
-                    )
-                chunks.append(conform(w, t2))
-            new = pa.concat_tables(chunks)
-            # winners sorted by key, as lww_sorted emitted
-            new = new.take(pa.compute.sort_indices(new.column("url")))
-            out.append(_finish_pid(fsh, pid, new, old, events))
-        if not out:
-            return pa.table(
-                {
-                    "pid": pa.array([], pa.int64()),
-                    "rows": pa.array([], pa.int64()),
-                    "events": pa.array([], pa.int64()),
-                    "max_lsn": pa.array([], pa.int64()),
-                    "schema_json": pa.array([], pa.string()),
-                }
-            )
-        return pa.concat_tables(out)
+            if files:
+                out.append(merge_pid(fsh, pid, files))
+        return pa.Table.from_pylist(out, schema=ENTRY_SCHEMA)
 
     return merge_pids
 

@@ -12,8 +12,8 @@ resolution — PostgreSQL ``ON CONFLICT (pk) DO UPDATE`` / MySQL
 ``ON DUPLICATE KEY UPDATE`` (/root/reference/common/database/rdbms/
 writer/common.go:557-607) — expressed as an associative, commutative
 reduction so it can run (1) within each Arrow batch as a combiner before
-the shuffle, (2) per salted sub-partition, and (3) per partition group,
-all with identical semantics.
+the delta write and (2) per partition in the merge, with identical
+semantics.
 
 Everything is vectorised: sort_indices over the (warc_ts, lsn) key
 columns only, factorize keys, np.unique for first-winner selection, then
@@ -30,14 +30,23 @@ import pyarrow.compute as pc
 LWW_ORDER = [("warc_ts", "descending"), ("lsn", "descending")]
 
 
-def lww_indices(table: pa.Table, key: str = "url") -> np.ndarray:
-    """Row indices of the per-key winners (unspecified order)."""
+def _lww_sort_factorize(table: pa.Table, key: str):
+    """The one winner-selection kernel: rows sorted by descending
+    (warc_ts, lsn), their keys factorized in that order. Returns
+    ``(order, codes, uniq, first)``: ``order[first]`` are the per-key
+    winners, ``codes`` the sorted rows' key codes."""
     order = pc.sort_indices(
         table.select([k for k, _ in LWW_ORDER]), sort_keys=LWW_ORDER
     ).to_numpy()
     keys = table.column(key).take(pa.array(order))
     codes, _ = pd.factorize(keys.to_pandas(), use_na_sentinel=False)
-    _, first = np.unique(codes, return_index=True)
+    uniq, first = np.unique(codes, return_index=True)
+    return order, codes, uniq, first
+
+
+def lww_indices(table: pa.Table, key: str = "url") -> np.ndarray:
+    """Row indices of the per-key winners (unspecified order)."""
+    order, _, _, first = _lww_sort_factorize(table, key)
     return order[first]
 
 
@@ -49,14 +58,8 @@ def _lww_take_counted(table: pa.Table, key: str, *,
     structure. With ``min_reduction`` > 0, batches below that duplicate
     ratio pass through untouched — exactness holds because kept rows
     keep their own counts."""
-    n = table.num_rows
-    order = pc.sort_indices(
-        table.select([k for k, _ in LWW_ORDER]), sort_keys=LWW_ORDER
-    ).to_numpy()
-    keys = table.column(key).take(pa.array(order))
-    codes, _ = pd.factorize(keys.to_pandas(), use_na_sentinel=False)
-    uniq, first = np.unique(codes, return_index=True)
-    if min_reduction > 0 and len(first) >= n * (1.0 - min_reduction):
+    order, codes, uniq, first = _lww_sort_factorize(table, key)
+    if min_reduction > 0 and len(first) >= table.num_rows * (1.0 - min_reduction):
         return table
     nev_sorted = table.column("_n_ev").to_numpy()[order]
     sums = np.bincount(codes, weights=nev_sorted).astype(np.int64)
@@ -96,7 +99,7 @@ def lww_combine_batch(batch: pa.Table, *, min_reduction: float = 0.05) -> pa.Tab
 
 def lww_combine_counted(batch: pa.Table, *, key: str = "url",
                         min_reduction: float = 0.05) -> pa.Table:
-    """The replay's shuffle combiner: within-batch LWW that PRESERVES
+    """The replay's combiner: within-batch LWW that PRESERVES
     the raw-event count in a ``_n_ev`` column (attached here as 1/row
     when absent). The lineage 'events' metric is SUM(_n_ev) at the
     merge — deterministic raw event counts per (epoch, partition),
@@ -110,18 +113,6 @@ def lww_combine_counted(batch: pa.Table, *, key: str = "url",
     if batch.num_rows <= 1:
         return batch
     return _lww_take_counted(batch, key, min_reduction=min_reduction)
-
-
-def lww_sorted(table: pa.Table, key: str = "url") -> pa.Table:
-    """LWW winners, sorted by key, with ONE payload copy: compose the
-    winner selection and the key sort on indices before a single take
-    (the html payload is the expensive thing to move)."""
-    if table.num_rows <= 1:
-        return table
-    idx = lww_indices(table, key)
-    keys = table.column(key).take(pa.array(idx))
-    order = pc.sort_indices(keys)
-    return table.take(pa.array(idx[order.to_numpy()]))
 
 
 def dedup_events(ds, *, key: str = "url", combine_first: bool = True):

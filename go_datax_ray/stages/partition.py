@@ -1,17 +1,10 @@
-"""Key-hash partitioning with hot-key salting.
+"""Key-hash partitioning and shuffle-size helpers.
 
 Generalises the reference's hash split — task i reads rows where
 ``CRC32(pk) % N == i`` (/root/reference/plugins/reader/mysqlreader/
-mysql_reader.go:432-444) — into the engine's shuffle partitioner:
-``part_id = md5_lower64(url) % P`` (DuckDB-checkable via
-``md5_number_lower(url) % P``).
-
-Salting: LWW dedup is associative+commutative (max over (warc_ts, lsn)),
-so a hot key can be reduced in two phases — first within salted
-sub-partitions ``(part_id, salt = lsn % S)``, then across salts —
-without changing semantics. The reference has no salting (SURVEY.md
-§2.7); its Cassandra token-range split (cassandra_reader.go:155-258) is
-the nearest ancestor.
+mysql_reader.go:432-444) — into the engine's partitioner:
+``part_id = crc32(url) % P`` (or ``md5_lower64(url) % P``, DuckDB-checkable
+via ``md5_number_lower(url) % P``).
 """
 
 from __future__ import annotations
@@ -27,14 +20,6 @@ def add_part_id(batch: pa.Table, *, key: str = "url", num_partitions: int = 64,
     """Vectorised stage: append part_id = hash(key) % P (crc32 default)."""
     pid = partition_ids(batch.column(key), num_partitions, hash_fn)
     return batch.append_column("part_id", pa.array(pid, pa.int64()))
-
-
-def add_salt(batch: pa.Table, *, num_salts: int, salt_from: str = "lsn") -> pa.Table:
-    """Append salt = lsn % S. Using lsn (unique) spreads a hot key evenly
-    across S sub-reducers; correctness is unaffected because the LWW
-    reduction is re-applied across salts afterwards."""
-    vals = batch.column(salt_from).to_numpy().astype(np.int64)
-    return batch.append_column("salt", pa.array(vals % num_salts, pa.int64()))
 
 
 def partition_events(ds, *, key: str = "url", num_partitions: int = 64,

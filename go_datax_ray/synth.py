@@ -14,6 +14,7 @@ No driver-side loops; generation scales with the cluster.
 
 from __future__ import annotations
 
+import functools
 import html as _htmlmod
 import re
 from dataclasses import dataclass, field
@@ -60,19 +61,23 @@ class SynthConfig:
     v2: bool = False  # emit additive fetch_status column (schema evolution)
 
 
+@functools.lru_cache(maxsize=4)
 def _url_pool(cfg: SynthConfig) -> np.ndarray:
-    """The url population. Domains are Zipf-skewed: domain id drawn as
-    floor(n_domains * u^3) so a handful of hot domains own most urls —
-    the skew the salting stage must handle."""
+    """The url population, built once per process per config (read-only).
+    Domains are Zipf-skewed: domain id drawn as floor(n_domains * u^3) so
+    a handful of hot domains own most urls — hot keys the replay's
+    per-batch combiner has to absorb."""
     idx = np.arange(cfg.n_urls, dtype=np.uint64)
     u = uniform01(idx, cfg.seed, 101)
     domain_ids = np.minimum((cfg.n_domains * u**3).astype(np.int64), cfg.n_domains - 1)
-    return np.array(
+    pool = np.array(
         [
             f"https://d{d:04d}.example.org/p/{int(h % np.uint64(1 << 32)):08x}"
             for d, h in zip(domain_ids, mix_streams(idx, cfg.seed, 102))
         ]
     )
+    pool.setflags(write=False)
+    return pool
 
 
 def gen_event_batch(indices: np.ndarray, cfg: SynthConfig, url_pool: np.ndarray) -> pa.Table:
@@ -194,13 +199,16 @@ def extract_text_batch(html_arr: pa.Array | pa.ChunkedArray) -> pa.Array:
     return pa.array(out, pa.large_string())
 
 
-class EventGen:
-    """Actor-pool stage: index batch -> CDC event batch.
+def gen_events(batch: pa.Table, cfg: SynthConfig, offset: int = 0) -> pa.Table:
+    """Task-pool stage: index batch (``id`` column) -> CDC event batch.
+    Stateless, so generation never holds a CPU between batches; the url
+    pool comes from the per-process cache."""
+    indices = batch.column("id").to_numpy() + offset
+    return gen_event_batch(indices, cfg, _url_pool(cfg))
 
-    The url pool is built once per actor in __init__ (the reference's
-    Task.Init connection-setup lifecycle, /root/reference/core/task/
-    taskgroupcontainer.go:83-99), NOT once per batch.
-    """
+
+class EventGen:
+    """Callable form of ``gen_events`` bound to one config and offset."""
 
     def __init__(self, cfg: SynthConfig | None = None, offset: int = 0):
         self.cfg = cfg or SynthConfig()
@@ -208,26 +216,7 @@ class EventGen:
         self.url_pool = _url_pool(self.cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        indices = batch.column("id").to_numpy() + self.offset
-        return gen_event_batch(indices, self.cfg, self.url_pool)
-
-
-def make_events(n_events: int, cfg: SynthConfig | None = None, *, override_num_blocks: int | None = None):
-    """CDC event log as a streaming Dataset: range(n) -> map_batches(EventGen).
-
-    Mirrors streamreader's N-slice generation (stream_reader.go:31-88) with
-    the slice count = Ray block count.
-    """
-    import ray.data as rd
-
-    cfg = cfg or SynthConfig()
-    kwargs = {}
-    if override_num_blocks:
-        kwargs["override_num_blocks"] = override_num_blocks
-    return rd.range(n_events, **kwargs).map_batches(
-        EventGen, fn_constructor_args=(cfg,), batch_format="pyarrow", batch_size=8192,
-        concurrency=(1, 8),
-    )
+        return gen_events(batch, self.cfg, self.offset)
 
 
 def make_pages_table(cfg: SynthConfig | None = None) -> pa.Table:

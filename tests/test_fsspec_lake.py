@@ -38,13 +38,3 @@ def test_fsspec_file_uri_replay_round_trip(tmp_path):
     man = Manifest.load(uri)
     assert len(man.lineage()) == man.epoch + 1 == 3
 
-
-def test_fsspec_lake_groupby_exchange(tmp_path):
-    uri = "file://" + str(tmp_path / "lake_g")
-    res = replay(
-        SynthEventSource(2000, SynthConfig(seed=5, n_urls=200)),
-        ReplayConfig(lake_dir=uri, num_partitions=4, epoch_size=1000,
-                     exchange="groupby"),
-    )
-    assert res.events == 2000
-    assert read_lake(uri).count() > 0

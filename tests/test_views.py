@@ -79,14 +79,6 @@ def test_view_time_travel(tmp_path):
     assert _view(lake, asof_epoch=e1) == asof
 
 
-def test_view_groupby_exchange(tmp_path):
-    lake = str(tmp_path / "lake")
-    cfg = ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=4000,
-                       exchange="groupby", views=(SPEC,))
-    replay(SynthEventSource(8000, SynthConfig(n_urls=600)), cfg)
-    assert _view(lake) == _recompute(lake)
-
-
 def test_partition_view_delta_update_and_delete():
     """Hand-built old/new states: an update that MOVES a row across
     groups must emit -1/+1; a delete emits -1; sums follow."""

@@ -104,31 +104,103 @@ def test_upsert_convenience_path_bounded(ray_session, tmp_path):
     assert write(rd.from_arrow(t), param)["records"] == 500
 
 
-def test_skinny_merge_equals_concat_merge(ray_session, tmp_path):
-    """Round-5 merge rewrite: winner selection over zero-copy key-column
-    views + per-source winner takes must produce a BIT-IDENTICAL lake to
-    the round-4 full-payload concat+take shape (schema and data), across
-    multiple epochs with an existing committed state."""
-    import go_datax_ray.sinks.lake as lake
+def test_multi_epoch_merge_matches_oracle_all_columns(ray_session, tmp_path):
+    """The merge onto existing committed state, checked on EVERY column
+    and the schema: a first replay commits state, a resumed multi-epoch
+    replay with engine-derived text merges onto it, and the raw lake
+    (tombstones included) equals the DuckDB LWW winners per url with
+    text from ``synth.extract_text`` and part_id from the placement
+    hash."""
+    import duckdb
+
+    from go_datax_ray.hashing import partition_ids
     from go_datax_ray.pipelines.cdc_replay import (
         ReplayConfig, SynthEventSource, replay)
+    from go_datax_ray.schema import CDC_EVENT_SCHEMA
     from go_datax_ray.sinks.lake import read_lake_table
-    from go_datax_ray.synth import SynthConfig
+    from go_datax_ray.synth import EventGen, SynthConfig, extract_text
 
     scfg = SynthConfig(seed=11, n_urls=150)
-    finals = {}
-    for mode in ("concat", "skinny"):
-        lake.DELTA_MERGE_MODE = mode
-        try:
-            d = str(tmp_path / f"lake_{mode}")
-            cfg = ReplayConfig(lake_dir=d, num_partitions=4, epoch_size=800,
-                               extract_text=True)
-            replay(SynthEventSource(2400, scfg), cfg)
-            finals[mode] = read_lake_table(d).sort_by("url")
-        finally:
-            lake.DELTA_MERGE_MODE = "skinny"
-    assert finals["concat"].schema.equals(finals["skinny"].schema)
-    assert finals["concat"].equals(finals["skinny"])
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=800,
+                       extract_text=True)
+    assert replay(SynthEventSource(800, scfg), cfg).epochs == 1
+    assert replay(SynthEventSource(2400, scfg), cfg).epochs == 2
+    got = read_lake_table(lake, final_state=False).sort_by("url")
+
+    events = EventGen(scfg)(pa.table({"id": np.arange(2400, dtype=np.int64)}))
+    events = events.drop_columns(["text"])  # the engine derives it
+    win = duckdb.sql(
+        """
+        SELECT * EXCLUDE (rn) FROM (
+          SELECT *, row_number() OVER (PARTITION BY url ORDER BY warc_ts DESC, lsn DESC) rn
+          FROM events
+        ) WHERE rn = 1 ORDER BY url
+        """
+    ).arrow()
+    want_schema = pa.schema(
+        [f for f in CDC_EVENT_SCHEMA if f.name != "text"]
+        + [pa.field("part_id", pa.int64()), pa.field("text", pa.large_string())]
+    )
+    html = win.column("html").to_pylist()
+    want = pa.Table.from_pydict(
+        {
+            **{f.name: win.column(f.name) for f in CDC_EVENT_SCHEMA if f.name != "text"},
+            "part_id": pa.array(partition_ids(win.column("url"), 4), pa.int64()),
+            "text": pa.array([None if h is None else extract_text(h) for h in html],
+                             pa.large_string()),
+        }
+    ).cast(want_schema)
+    assert got.schema.equals(want_schema)
+    assert got.num_rows == want.num_rows
+    for name in want_schema.names:
+        assert got.column(name).to_pylist() == want.column(name).to_pylist(), name
+
+
+def test_fused_and_generic_prepare_identical(ray_session, tmp_path):
+    """One prepare function: the same events through the fused
+    ParquetWalSource row-group task and through the generic
+    DatasetEventSource map give identical lakes (every column, schema)
+    and identical per-epoch applied counts, with a row-dropping,
+    column-rewriting transform and engine-derived text."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from go_datax_ray.pipelines.cdc_replay import (
+        DatasetEventSource, ReplayConfig, replay)
+    from go_datax_ray.sinks.lake import read_lake_table
+    from go_datax_ray.synth import EventGen, SynthConfig
+
+    events = EventGen(SynthConfig(seed=4, n_urls=200))(
+        pa.table({"id": np.arange(3000, dtype=np.int64)}))
+    wal = tmp_path / "wal"
+    wal.mkdir()
+    for i, lo in enumerate(range(0, 3000, 700)):
+        pq.write_table(events.slice(lo, 700), wal / f"seg-{i:05d}.parquet",
+                       row_group_size=300)
+
+    def transform(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.not_equal(pc.bit_wise_and(t.column("lsn"), 7), 3))
+        return t.set_column(t.column_names.index("lang"), "lang",
+                            pc.utf8_upper(t.column("lang")))
+
+    def run(name, source):
+        lake = str(tmp_path / name)
+        res = replay(source, ReplayConfig(lake_dir=lake, num_partitions=4,
+                                          epoch_size=1000, extract_text=True,
+                                          transform=transform))
+        return res, read_lake_table(lake, final_state=False).sort_by("url")
+
+    res_f, fused = run("fused", ParquetWalSource(str(wal), 0, 3000))
+    res_g, generic = run("generic",
+                         DatasetEventSource(rd.from_arrow(events), 0, 3000))
+    assert fused.num_rows > 0
+    assert fused.schema.equals(generic.schema)
+    assert fused.equals(generic)
+    applied = [st["applied"] for st in res_f.epoch_stats]
+    assert applied == [st["applied"] for st in res_g.epoch_stats]
+    assert len(applied) == 3 and sum(applied) == pc.sum(pc.not_equal(
+        pc.bit_wise_and(events.column("lsn"), 7), 3)).as_py()
 
 
 def test_explicit_path_list_order_preserved(ray_session, tmp_path):
