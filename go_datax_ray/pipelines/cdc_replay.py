@@ -329,23 +329,6 @@ class ReplayResult:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
 
-def _delta_dir_bytes(fsh, delta_dir: str) -> int:
-    """Total bytes of the epoch's delta temporaries — the exchange's
-    byte volume (local fast path; 0 when the fs can't stat cheaply)."""
-    import os
-
-    if not fsh.local:
-        return 0
-    total = 0
-    for root, _dirs, files in os.walk(delta_dir):
-        for f in files:
-            try:
-                total += os.path.getsize(os.path.join(root, f))
-            except OSError:
-                pass
-    return total
-
-
 def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
                      committed: dict[int, str], stats: dict) -> list[dict]:
     """The delta exchange: write the prepared events into per-partition
@@ -369,7 +352,7 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
     ) if fsh.isdir(delta_dir) else []
     if not pids:
         return []
-    stats["delta_bytes"] = _delta_dir_bytes(fsh, delta_dir)
+    stats["delta_bytes"] = fsh.du(delta_dir)
     merge = make_delta_merger(
         cfg.lake_dir, epoch, committed, delta_dir,
         extract_missing_text=cfg.extract_text, view_specs=cfg.views,

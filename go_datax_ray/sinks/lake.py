@@ -9,10 +9,12 @@ action model insert/update/delete keyed by _id
 elasticsearch_writer.go:33-41,1288-1359), re-expressed as a
 copy-on-write partition merge:
 
-    read committed partition file (if any)
-    -> additive-evolve schemas -> concat with this epoch's LWW winners
-    -> LWW again (old rows carry their own (warc_ts, lsn))
-    -> sort by url (byte-deterministic file content)
+    read committed partition file (if any) + this epoch's delta files
+    -> additive-evolve schemas -> conform and concat, committed file first
+    -> one LWW take (old rows carry their own (warc_ts, lsn)); the
+       kernel returns winners in url order, so the file content is
+       byte-deterministic without a second sort
+    -> [derive text for new winners]
     -> write the content-addressed final path part-{pid}/...-epoch-{e}
 
 Visibility is decided by the manifest commit (state.manifest): the
@@ -30,15 +32,13 @@ the hot path stays vectorised Arrow end-to-end.
 from __future__ import annotations
 
 import json
-import os
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..schema import conform, evolve
-from ..stages.lww import LWW_ORDER, lww_indices
+from ..stages.lww import lww_indices
 from ..state.fs import LakeFS
 from ..state.manifest import final_path
 
@@ -78,17 +78,12 @@ def _fill_text(t: pa.Table) -> pa.Table:
     if "text" not in t.column_names:
         return t.append_column(pa.field("text", pa.large_string()), extract_text_batch(html))
     text = t.column("text")
-    need = pa.compute.and_(pa.compute.is_null(text), pa.compute.is_valid(html))
+    need = pa.compute.and_(pa.compute.is_null(text), pa.compute.is_valid(html)).combine_chunks()
     if not pa.compute.any(need).as_py():
         return t
-    idx = np.flatnonzero(need.combine_chunks().to_numpy(zero_copy_only=False))
-    vals = extract_text_batch(html.take(pa.array(idx))).to_pylist()
-    full = text.to_pylist()
-    for i, v in zip(idx, vals):
-        full[i] = v
-    return t.set_column(
-        t.column_names.index("text"), "text", pa.array(full, text.type)
-    )
+    vals = extract_text_batch(html.filter(need)).cast(text.type)
+    return t.set_column(t.column_names.index("text"), "text",
+                        pa.compute.replace_with_mask(text, need, vals))
 
 
 # One row per merged partition, returned by the merge tasks to the
@@ -121,15 +116,8 @@ def make_delta_merger(
     ``committed`` is the driver's manifest snapshot (pid -> absolute file
     path) — a small dict captured in the task closure, shipped once per
     task, never per batch."""
-    import glob as _glob
-    import posixpath
 
     def merge_pid(fsh, pid: int, files: list[str]) -> dict:
-        # SKINNY-FIRST merge: each source is read ONCE, but winner
-        # selection runs over only its zero-copy (url, warc_ts, lsn)
-        # column views — the html payload of superseded rows is never
-        # concatenated or moved; each source contributes exactly its
-        # winner rows via one small take.
         old_path = committed.get(pid)
         old = None
         if old_path is not None and fsh.exists(old_path):
@@ -145,40 +133,21 @@ def make_delta_merger(
         for p in parts:
             events += (int(pa.compute.sum(p.column("_n_ev")).as_py() or 0)
                        if "_n_ev" in p.column_names else p.num_rows)
-        # old first, then delta files in sorted order: stable-sort
-        # tie-breaking is deterministic
-        skinny_cols = [k for k, _ in LWW_ORDER]
-        sources = ([old] if old is not None else []) + parts
-        skinny_schema = sources[0].select(["url", *skinny_cols]).schema
-        allk = pa.concat_tables(
-            [conform(s.select(["url", *skinny_cols]), skinny_schema)
-             for s in sources])  # zero-copy column views, tiny concat
-        winners = np.sort(lww_indices(allk))
-        # map global winner positions back to (source, local row)
-        lens = np.array([s.num_rows for s in sources], dtype=np.int64)
-        offs = np.concatenate([[0], np.cumsum(lens)])
         new_schema = pa.schema(
             [f for f in target if f.name != "_n_ev"]
         ).append(pa.field("part_id", pa.int64()))
         t2 = evolve(old.schema, new_schema) if old is not None else new_schema
-        chunks: list[pa.Table] = []
-        src_of = np.searchsorted(offs, winners, side="right") - 1
-        pid_field = pa.field("part_id", pa.int64())
-        for si in range(len(sources)):
-            rows = winners[src_of == si] - offs[si]
-            if rows.size == 0:
-                continue
-            w = sources[si].take(pa.array(rows))
-            if not (old is not None and si == 0):
-                if "_n_ev" in w.column_names:
-                    w = w.drop_columns(["_n_ev"])
-                w = w.append_column(
-                    pid_field, pa.array(np.full(w.num_rows, pid), pa.int64())
-                )
-            chunks.append(conform(w, t2))
-        new = pa.concat_tables(chunks)
-        # byte-deterministic file content: winners sorted by key
-        new = new.take(pa.compute.sort_indices(new.column("url")))
+        # old first, then delta files in sorted order: the stable sort
+        # lets the committed copy win exact ties; winners come back in
+        # url order, so the file content is byte-deterministic
+        sources = [conform(old, t2)] if old is not None else []
+        for p in parts:
+            if "_n_ev" in p.column_names:
+                p = p.drop_columns(["_n_ev"])
+            p = p.append_column("part_id", pa.array(np.full(p.num_rows, pid), pa.int64()))
+            sources.append(conform(p, t2))
+        allt = pa.concat_tables(sources)
+        new = allt.take(lww_indices(allt))
         if extract_missing_text:
             new = _fill_text(new)
         if view_specs:
@@ -187,10 +156,8 @@ def make_delta_merger(
             from .views import write_view_deltas
 
             write_view_deltas(fsh, lake_dir, view_specs, old, new, epoch, pid)
-        outp = final_path(lake_dir, pid, epoch)
-        fsh.makedirs(outp.rsplit("/", 1)[0] if not fsh.local else os.path.dirname(outp))
-        fsh.write_parquet(new, outp, compression="zstd", compression_level=1,
-                          row_group_size=64 * 1024)
+        fsh.write_parquet(new, final_path(lake_dir, pid, epoch), compression="zstd",
+                          compression_level=1, row_group_size=64 * 1024)
         return {"pid": pid, "rows": new.num_rows, "events": events,
                 "max_lsn": int(pa.compute.max(new.column("lsn")).as_py()),
                 "schema_json": schema_to_json(new.schema)}
@@ -200,10 +167,7 @@ def make_delta_merger(
         out: list[dict] = []
         for pid in batch["pid"]:
             pid = int(pid)
-            pat = (os.path.join if fsh.local else posixpath.join)(
-                delta_dir, f"part_id={pid}", "*.parquet"
-            )
-            files = sorted(_glob.glob(pat) if fsh.local else fsh.fs.glob(pat))
+            files = fsh.glob(f"{delta_dir}/part_id={pid}/*.parquet")
             if files:
                 out.append(merge_pid(fsh, pid, files))
         return pa.Table.from_pylist(out, schema=ENTRY_SCHEMA)
@@ -324,10 +288,8 @@ def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
         keep = pc.invert(pc.fill_null(is_dead_tomb, False))
         out = t.filter(keep)
         dropped += t.num_rows - out.num_rows
-        outp = final_path(lake_dir, pid, epoch)
-        man.fsh.makedirs(outp.rsplit("/", 1)[0] if not man.fsh.local else os.path.dirname(outp))
-        man.fsh.write_parquet(out, outp, compression="zstd", compression_level=1,
-                              row_group_size=64 * 1024)
+        man.fsh.write_parquet(out, final_path(lake_dir, pid, epoch), compression="zstd",
+                              compression_level=1, row_group_size=64 * 1024)
         entries.append(
             {
                 "pid": pid,
@@ -388,10 +350,8 @@ def delete_where(lake_dir: str, where: list[list], *,
             new_op = pc.if_else(mask, pa.scalar("D"), t.column("op"))
             t = t.set_column(t.column_names.index("op"), "op", new_op)
             flipped += flips
-        outp = final_path(lake_dir, pid, epoch)
-        man.fsh.makedirs(outp.rsplit("/", 1)[0] if not man.fsh.local else os.path.dirname(outp))
-        man.fsh.write_parquet(t, outp, compression="zstd", compression_level=1,
-                              row_group_size=64 * 1024)
+        man.fsh.write_parquet(t, final_path(lake_dir, pid, epoch), compression="zstd",
+                              compression_level=1, row_group_size=64 * 1024)
         entries.append({"pid": pid, "rows": t.num_rows, "events": 0,
                         "max_lsn": ent["max_lsn"]})
     if entries:

@@ -127,28 +127,17 @@ def write_view_deltas(
     """Called from inside the partition merge, where old/new already sit
     in memory. Content-addressed path per (view, epoch, pid): a retried
     epoch recomputes the identical delta and overwrites idempotently."""
-    import os
-
     for spec in specs:
         d = partition_view_delta(old, new, spec)
         if d.num_rows == 0:
             continue
         path = view_delta_path(lake_dir, spec.name, epoch, pid)
-        parent = path.rsplit("/", 1)[0] if not fsh.local else os.path.dirname(path)
-        fsh.makedirs(parent)
         fsh.write_parquet(d, path, compression="zstd", compression_level=1)
 
 
 def _list_delta_files(fsh: LakeFS, base: str) -> list[tuple[int, str]]:
-    import glob as _glob
-    import posixpath
-
-    pat = (posixpath.join if not fsh.local else __import__("os").path.join)(
-        base, "delta-*.parquet"
-    )
-    files = sorted(_glob.glob(pat) if fsh.local else fsh.fs.glob(pat))
     out = []
-    for f in files:
+    for f in fsh.glob(f"{base}/delta-*.parquet"):
         m = _DELTA_RE.search(f)
         if m:
             out.append((int(m.group(1)), f))
@@ -159,15 +148,8 @@ _BASE_RE = re.compile(r"base-e(\d+)\.parquet$")
 
 
 def _find_base(fsh: LakeFS, base_dir: str) -> tuple[int, str] | None:
-    import glob as _glob
-    import posixpath
-
-    pat = (posixpath.join if not fsh.local else __import__("os").path.join)(
-        base_dir, "base-*.parquet"
-    )
-    files = sorted(_glob.glob(pat) if fsh.local else fsh.fs.glob(pat))
     best = None
-    for f in files:
+    for f in fsh.glob(f"{base_dir}/base-*.parquet"):
         m = _BASE_RE.search(f)
         if m and (best is None or int(m.group(1)) > best[0]):
             best = (int(m.group(1)), f)
@@ -201,10 +183,7 @@ def fold_view_deltas(lake_dir: str, spec: ViewSpec) -> dict:
         parts.append(fsh.read_parquet(prior[1]))
     t = _sum_deltas(parts, spec)
     new_epoch = max(e for e, _ in deltas)
-    out = (
-        __import__("posixpath").join if not fsh.local
-        else __import__("os").path.join
-    )(base_dir, f"base-e{new_epoch:06d}.parquet")
+    out = f"{base_dir}/base-e{new_epoch:06d}.parquet"
     fsh.write_parquet(t, out, compression="zstd", compression_level=1)
     removed = 0
     for _, f in deltas:

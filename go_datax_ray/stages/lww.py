@@ -1,4 +1,4 @@
-"""Last-writer-wins (LWW) dedup kernels.
+"""Last-writer-wins (LWW) dedup kernel.
 
 Per key (url) keep the single row with max ``(warc_ts, lsn)``. ``lsn`` is
 unique (total order of the log), so the winner is well-defined even under
@@ -15,86 +15,70 @@ reduction so it can run (1) within each Arrow batch as a combiner before
 the delta write and (2) per partition in the merge, with identical
 semantics.
 
-Everything is vectorised: sort_indices over the (warc_ts, lsn) key
-columns only, factorize keys, np.unique for first-winner selection, then
-a single ``Table.take`` so the wide html payload moves once.
+One kernel serves both: a stable Arrow ``sort_indices`` over
+``(key asc, warc_ts desc, lsn desc)``. The head of each key run is that
+key's winner, so winners come back in ascending key order, and among
+exact ``(key, warc_ts, lsn)`` ties the earliest row wins. A single
+``Table.take`` then moves the wide html payload once.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 LWW_ORDER = [("warc_ts", "descending"), ("lsn", "descending")]
 
 
-def _lww_sort_factorize(table: pa.Table, key: str):
-    """The one winner-selection kernel: rows sorted by descending
-    (warc_ts, lsn), their keys factorized in that order. Returns
-    ``(order, codes, uniq, first)``: ``order[first]`` are the per-key
-    winners, ``codes`` the sorted rows' key codes."""
+def _lww_runs(table: pa.Table, key: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one winner-selection sort. Returns ``(order, starts)``: the
+    stable key-ordered sort permutation and the positions in it where a
+    key run begins, so ``order[starts]`` are the winners in key order."""
     order = pc.sort_indices(
-        table.select([k for k, _ in LWW_ORDER]), sort_keys=LWW_ORDER
-    ).to_numpy()
-    keys = table.column(key).take(pa.array(order))
-    codes, _ = pd.factorize(keys.to_pandas(), use_na_sentinel=False)
-    uniq, first = np.unique(codes, return_index=True)
-    return order, codes, uniq, first
+        table.select([key, *(k for k, _ in LWW_ORDER)]),
+        sort_keys=[(key, "ascending"), *LWW_ORDER],
+    )
+    keys = table.column(key).take(order)
+    # a new run wherever the key changes; nulls sort last and form one run
+    cur, prev = keys[1:], keys[:-1]
+    changed = pc.and_(pc.fill_null(pc.not_equal(cur, prev), True), pc.is_valid(prev))
+    starts = np.flatnonzero(
+        np.concatenate([[True], changed.to_numpy(zero_copy_only=False)])
+    )
+    return order.to_numpy(), starts
 
 
 def lww_indices(table: pa.Table, key: str = "url") -> np.ndarray:
-    """Row indices of the per-key winners (unspecified order)."""
-    order, _, _, first = _lww_sort_factorize(table, key)
-    return order[first]
+    """Row indices of the per-key winners, in ascending key order."""
+    if table.num_rows == 0:
+        return np.empty(0, np.int64)
+    order, starts = _lww_runs(table, key)
+    return order[starts]
 
 
-def _lww_take_counted(table: pa.Table, key: str, *,
-                      min_reduction: float = 0.0) -> pa.Table:
-    """Winner rows with their ``_n_ev`` raw-event counts ROLLED UP from
-    the duplicates they supersede (sum per key), so SUM(_n_ev) over any
+def lww_table(table: pa.Table, key: str = "url", *,
+              min_reduction: float = 0.0) -> pa.Table:
+    """LWW-dedup a table: one winner row per key, in ascending key order.
+
+    When the table carries the ``_n_ev`` lineage counter, superseded
+    rows' counts are summed into their winner, so SUM(_n_ev) over any
     downstream grouping equals the raw event count regardless of batch
-    structure. With ``min_reduction`` > 0, batches below that duplicate
-    ratio pass through untouched — exactness holds because kept rows
-    keep their own counts."""
-    order, codes, uniq, first = _lww_sort_factorize(table, key)
-    if min_reduction > 0 and len(first) >= table.num_rows * (1.0 - min_reduction):
-        return table
-    nev_sorted = table.column("_n_ev").to_numpy()[order]
-    sums = np.bincount(codes, weights=nev_sorted).astype(np.int64)
-    out = table.take(pa.array(order[first]))
-    i = out.column_names.index("_n_ev")
-    return out.set_column(i, "_n_ev", pa.array(sums[uniq], pa.int64()))
-
-
-def lww_table(table: pa.Table, key: str = "url") -> pa.Table:
-    """LWW-dedup a table: one winner row per key. When the table carries
-    the ``_n_ev`` lineage counter, superseded rows' counts roll into the
-    winner (see _lww_take_counted)."""
+    structure. With ``min_reduction`` > 0, a table whose duplicate ratio
+    is below it comes back unchanged: ``Table.take`` copies the whole
+    (html-wide) table, which costs more than the few rows it would drop.
+    Exactness holds either way because kept rows keep their own counts."""
     if table.num_rows <= 1:
         return table
-    if "_n_ev" in table.column_names:
-        return _lww_take_counted(table, key)
-    return table.take(pa.array(lww_indices(table, key)))
-
-
-def lww_combine_batch(batch: pa.Table, *, min_reduction: float = 0.05) -> pa.Table:
-    """Shuffle combiner: within-batch LWW. Drops superseded versions of a
-    key before the all-to-all exchange, shrinking shuffle payload — the
-    'pre-aggregate inside map_batches' rule for wide html rows.
-
-    Adaptive: ``Table.take`` copies the whole (html-wide) batch, so when
-    the in-batch duplicate ratio is below ``min_reduction`` the copy costs
-    more than the shuffle bytes it saves — pass the batch through
-    untouched (the merge LWWs anyway; correctness is unaffected). Hot-key
-    streams blow past the threshold and still get combined."""
-    if batch.num_rows <= 1:
-        return batch
-    idx = lww_indices(batch)
-    if len(idx) >= batch.num_rows * (1.0 - min_reduction):
-        return batch
-    return batch.take(pa.array(idx))
+    order, starts = _lww_runs(table, key)
+    if min_reduction > 0 and len(starts) >= table.num_rows * (1.0 - min_reduction):
+        return table
+    out = table.take(order[starts])
+    if "_n_ev" in out.column_names:
+        nev = table.column("_n_ev").to_numpy()[order]
+        i = out.column_names.index("_n_ev")
+        out = out.set_column(i, "_n_ev", pa.array(np.add.reduceat(nev, starts), pa.int64()))
+    return out
 
 
 def lww_combine_counted(batch: pa.Table, *, key: str = "url",
@@ -110,16 +94,14 @@ def lww_combine_counted(batch: pa.Table, *, key: str = "url",
         batch = batch.append_column(
             "_n_ev", pa.array(np.ones(batch.num_rows, np.int64), pa.int64())
         )
-    if batch.num_rows <= 1:
-        return batch
-    return _lww_take_counted(batch, key, min_reduction=min_reduction)
+    return lww_table(batch, key, min_reduction=min_reduction)
 
 
-def dedup_events(ds, *, key: str = "url", combine_first: bool = True):
-    """Dataset-level LWW dedup: optional per-batch combiner, then a
+def dedup_events(ds):
+    """Dataset-level LWW dedup on ``url``: a per-batch combiner, then a
     per-partition group reduce. Requires a ``part_id`` column (from
     stages.partition); grouping on part_id (P groups) instead of url
     (millions of groups) keeps the shuffle coarse-grained."""
-    if combine_first:
-        ds = ds.map_batches(lww_combine_batch, batch_format="pyarrow", zero_copy_batch=True)
+    ds = ds.map_batches(lww_table, fn_kwargs={"min_reduction": 0.05},
+                        batch_format="pyarrow", zero_copy_batch=True)
     return ds.groupby("part_id").map_groups(lww_table, batch_format="pyarrow")

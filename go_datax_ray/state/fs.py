@@ -62,7 +62,9 @@ def writer_lock(lake_dir: str):
 
 
 class LakeFS:
-    """Tiny fs facade: local os.* fast path or an fsspec filesystem."""
+    """Tiny fs facade: local os.* fast path or an fsspec filesystem.
+    Callers pass paths built with ``join`` (or ``/``-joined onto one)
+    and never branch on which of the two they got."""
 
     def __init__(self, base):
         self.base = base = str(base)
@@ -100,6 +102,29 @@ class LakeFS:
         if self.local:
             return open(p, mode)
         return self.fs.open(p, mode)
+
+    def glob(self, pattern: str) -> list[str]:
+        if self.local:
+            import glob
+
+            return sorted(glob.glob(pattern))
+        return sorted(self.fs.glob(pattern))
+
+    def du(self, p: str) -> int:
+        """Total bytes of the files under ``p`` (0 when it is missing)."""
+        if not self.local:
+            try:
+                return int(self.fs.du(p))
+            except FileNotFoundError:
+                return 0
+        total = 0
+        for root, _dirs, files in os.walk(p):
+            for f in files:
+                try:
+                    total += os.path.getsize(os.path.join(root, f))
+                except OSError:
+                    pass
+        return total
 
     def listdir(self, p: str) -> list[str]:
         if self.local:
@@ -244,8 +269,10 @@ class LakeFS:
             return pq.read_schema(f)
 
     def write_parquet(self, table: Any, p: str, **kwargs: Any) -> None:
+        """Write ``table`` to ``p``, creating its parent directory."""
         import pyarrow.parquet as pq
 
+        self.makedirs((os.path if self.local else posixpath).dirname(p))
         if self.local:
             pq.write_table(table, p, **kwargs)
         else:

@@ -201,9 +201,6 @@ class BotoS3FileSystem(AbstractFileSystem):
     def _open(self, path: str, mode: str = "rb", block_size=None, **kwargs: Any):
         return BotoS3File(self, path, mode, block_size=block_size or "default")
 
-    def __reduce__(self):  # fsspec instances may ride task closures
-        return (BotoS3FileSystem, ())
-
 
 class BotoS3File(AbstractBufferedFile):
     """Ranged GETs on read; single PUT below one block, multipart above."""

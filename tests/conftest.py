@@ -6,14 +6,17 @@ import pytest
 # the loopback object-store tests (test_s3_lake.py) start a moto S3
 # server on this fixed port, and engine code running inside workers
 # resolves endpoint + credentials from the environment when it
-# constructs the s3 filesystem (state/s3boto.py). Harmless otherwise —
-# nothing but those tests touches an s3:// URI.
+# constructs the s3 filesystem (state/s3boto.py). The values are forced,
+# not defaulted, so an exported real endpoint or credential can never
+# receive test writes.
 S3_TEST_PORT = 5553
-os.environ.setdefault("AWS_ACCESS_KEY_ID", "testing")
-os.environ.setdefault("AWS_SECRET_ACCESS_KEY", "testing")
-os.environ.setdefault("AWS_DEFAULT_REGION", "us-east-1")
-os.environ.setdefault("AWS_ENDPOINT_URL", f"http://127.0.0.1:{S3_TEST_PORT}")
-os.environ.setdefault("AWS_EC2_METADATA_DISABLED", "true")
+os.environ.update({
+    "AWS_ACCESS_KEY_ID": "testing",
+    "AWS_SECRET_ACCESS_KEY": "testing",
+    "AWS_DEFAULT_REGION": "us-east-1",
+    "AWS_ENDPOINT_URL": f"http://127.0.0.1:{S3_TEST_PORT}",
+    "AWS_EC2_METADATA_DISABLED": "true",
+})
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -22,6 +22,9 @@ def test_fsspec_file_uri_replay_round_trip(tmp_path):
             ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000),
         )
         assert res.events == 3000 and res.epochs == 3
+        # every epoch wrote deltas, and their bytes are counted on both
+        # path styles
+        assert [s.get("delta_bytes", 0) > 0 for s in res.epoch_stats] == [True] * 3
     # identical committed state through both path styles
     t_plain = read_lake_table(plain).drop_columns(["part_id"])
     t_uri = read_lake_table(uri).drop_columns(["part_id"])

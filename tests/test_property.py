@@ -9,7 +9,7 @@ import duckdb
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from go_datax_ray.hashing import crc32_array, md5_lower64_array, partition_ids
@@ -100,23 +100,52 @@ def test_ngram_jaccard_metric_properties(a, b):
     assert ngram_jaccard(a, a) == 1.0  # reflexive
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 100), st.integers(0, 1000)),
-                min_size=1, max_size=60))
-def test_lww_order_independent(rows):
-    """LWW winner per key is independent of event arrival order."""
-    from go_datax_ray.stages.lww import lww_table
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 5)), st.integers(0, 3),
+                          st.integers(0, 4), st.integers(1, 4)),
+                min_size=0, max_size=60),
+       st.sampled_from([0.0, 0.05, 0.5, 0.9]))
+@example([(1, 2, 3, 1), (0, 0, 0, 2), (1, 2, 3, 4), (None, 0, 0, 1), (None, 1, 0, 1)], 0.0)
+@example([(2, 0, 0, 1), (1, 0, 0, 1), (0, 0, 0, 1)], 0.5)
+@example([(2, 0, 0, 1), (1, 0, 0, 1), (0, 0, 0, 1)], 0.0)
+def test_lww_order_independent(rows, min_reduction):
+    """lww_indices / lww_table against a pure-Python LWW. Small value
+    ranges force exact (url, warc_ts, lsn) ties, where the first row
+    wins; winners come in ascending url order (null url last); _n_ev
+    sums per url; below ``min_reduction`` the input comes back as is;
+    and the winners do not depend on event arrival order."""
+    from go_datax_ray.stages.lww import lww_indices, lww_table
 
     def build(seq):
         return pa.table({
-            "url": pa.array([f"u{k}" for k, _, _ in seq], pa.string()),
-            "warc_ts": pa.array([ts for _, ts, _ in seq], pa.timestamp("us")),
-            "lsn": pa.array([lsn for _, _, lsn in seq], pa.int64()),
-            "op": pa.array(["U"] * len(seq), pa.string()),
+            "url": pa.array([None if k is None else f"u{k}" for k, _, _, _ in seq], pa.string()),
+            "warc_ts": pa.array([ts for _, ts, _, _ in seq], pa.timestamp("us")),
+            "lsn": pa.array([lsn for _, _, lsn, _ in seq], pa.int64()),
+            "_n_ev": pa.array([n for _, _, _, n in seq], pa.int64()),
+            "rid": pa.array(range(len(seq)), pa.int64()),
         })
 
-    fwd = lww_table(build(rows)).sort_by("url")
-    rev = lww_table(build(rows[::-1])).sort_by("url")
-    assert fwd.select(["url", "warc_ts", "lsn"]).equals(
-        rev.select(["url", "warc_ts", "lsn"])
-    )
+    best: dict = {}
+    nev: dict = {}
+    for i, (k, ts, lsn, n) in enumerate(rows):
+        if k not in best or (ts, lsn) > rows[best[k]][1:3]:  # strict: first row wins ties
+            best[k] = i
+        nev[k] = nev.get(k, 0) + n
+    keys = sorted(best, key=lambda k: (k is None, k))
+    want_rid = [best[k] for k in keys]
+
+    t = build(rows)
+    assert lww_indices(t).tolist() == want_rid
+    got = lww_table(t)
+    assert got.column("rid").to_pylist() == want_rid
+    assert got.column("_n_ev").to_pylist() == [nev[k] for k in keys]
+    assert got.schema == t.schema
+
+    reduced = lww_table(t, min_reduction=min_reduction)
+    if min_reduction > 0 and len(rows) > 1 and len(keys) >= len(rows) * (1 - min_reduction):
+        assert reduced is t
+    else:
+        assert reduced.equals(got)
+
+    cols = ["url", "warc_ts", "lsn", "_n_ev"]
+    assert lww_table(build(rows[::-1])).select(cols).equals(got.select(cols))

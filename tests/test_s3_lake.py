@@ -52,6 +52,7 @@ def test_s3_lake_replay_round_trip(s3_bucket, tmp_path):
             ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000),
         )
         assert res.events == 3000 and res.epochs == 3
+        assert [s.get("delta_bytes", 0) > 0 for s in res.epoch_stats] == [True] * 3
     # identical committed state on local disk and on the object store
     t_plain = read_lake_table(plain).drop_columns(["part_id"])
     t_s3 = read_lake_table(uri).drop_columns(["part_id"])
@@ -155,3 +156,18 @@ def test_s3_multipart_and_manifest_swap(s3_bucket):
     assert "big.bin" in fsh.listdir(fsh.join(""))
     fsh.remove(p)
     assert not fsh.exists(p)
+
+
+def test_boto_fs_pickle_keeps_endpoint(monkeypatch):
+    """Task closures carry the filesystem pickled: an explicit
+    ``endpoint_url`` must survive the round trip, not be re-resolved
+    from ``AWS_ENDPOINT_URL`` on the worker."""
+    import pickle
+
+    from go_datax_ray.state.s3boto import BotoS3FileSystem
+
+    monkeypatch.setenv("AWS_ENDPOINT_URL", "http://127.0.0.1:1")
+    fs = BotoS3FileSystem(endpoint_url="http://127.0.0.1:2")
+    blob = pickle.dumps(fs)
+    BotoS3FileSystem.clear_instance_cache()
+    assert pickle.loads(blob)._client.meta.endpoint_url == "http://127.0.0.1:2"

@@ -88,6 +88,7 @@ def test_lake_replay_over_webhdfs(ray_session, tmp_path):
                 ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000),
             )
             assert res.events == 2000 and res.epochs == 2
+            assert [s.get("delta_bytes", 0) > 0 for s in res.epoch_stats] == [True] * 2
         # identical committed state on local disk and over webhdfs
         t_plain = read_lake_table(plain).drop_columns(["part_id"])
         t_hdfs = read_lake_table(uri).drop_columns(["part_id"])
