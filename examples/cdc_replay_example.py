@@ -27,12 +27,14 @@ shutil.rmtree(LAKE, ignore_errors=True)
 
 cfg = ReplayConfig(
     lake_dir=LAKE, num_partitions=8, epoch_size=10_000,
-    extract_text=True, retain_history=True, report=True,
+    extract_text=True, retain_history=True,
 )
 synth = SynthConfig(n_urls=3000, payload_bytes=512)
 
 # 1. full replay of 30k events (3 epochs, exactly-once commits)
 res = replay(SynthEventSource(30_000, synth), cfg)
+for st in res.epoch_stats:
+    print(st)
 print(f"replayed {res.events} events in {res.epochs} epochs "
       f"({res.events_per_sec:.0f} ev/s)")
 

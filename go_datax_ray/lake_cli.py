@@ -40,9 +40,8 @@ def main(argv: list[str] | None = None) -> int:
 
     from .state.manifest import Manifest
 
-    man = Manifest.load(args.lake_dir)
-
     if args.cmd == "status":
+        man = Manifest.load(args.lake_dir)
         print(json.dumps({
             "lake_dir": args.lake_dir,
             "epoch": man.epoch,
@@ -54,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "lineage":
-        for rec in man.lineage():
+        for rec in Manifest.load(args.lake_dir).lineage():
             print(json.dumps(rec))
         return 0
 
@@ -83,6 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         import pyarrow.compute as pc
 
         keys = args.keys.split(",")
+        man = Manifest.load(args.lake_dir)
         if man.key is None:
             p.error("lake manifest predates key metadata; 'get' cannot "
                     "determine the key column (re-commit once to backfill)")
@@ -103,7 +103,9 @@ def main(argv: list[str] | None = None) -> int:
     # pipeline takes — gc-orphans racing an in-flight replay would delete
     # the uncommitted epoch's freshly written merge outputs and fail its
     # commit_epoch with FileNotFoundError (manifest.py documents gc is
-    # only safe under the writer lock).
+    # only safe under the writer lock). Each loads the manifest inside
+    # the lock: one loaded before it misses the epochs a replay commits
+    # in between, and gc-orphans would delete their live files.
     from .state.fs import writer_lock
 
     if args.cmd == "compact":
@@ -116,13 +118,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.cmd == "gc-orphans":
         with writer_lock(args.lake_dir):
-            print(json.dumps({"removed": man.gc_orphans()}))
+            print(json.dumps({"removed": Manifest.load(args.lake_dir).gc_orphans()}))
         return 0
 
     if args.cmd == "gc-history":
         if args.keep_after is None:
             p.error("gc-history requires --keep-after")
         with writer_lock(args.lake_dir):
+            man = Manifest.load(args.lake_dir)
             print(json.dumps({"removed": man.gc_history(args.keep_after)}))
         return 0
 

@@ -13,7 +13,8 @@ pipeline per epoch:
     -> one merge task per partition id       # committed file + deltas
     -> driver commits the epoch atomically (manifest + rename)
 
-``ParquetWalSource`` runs the same ``prepare`` inside its row-group read
+``ParquetWalSource`` plans the epoch from its segment footers
+(``fragments``) and runs the same ``prepare`` inside its row-group read
 task instead (see ``_prepared_ds``).
 
 The epoch loop is the checkpoint unit: a crash between epochs resumes
@@ -53,7 +54,9 @@ _PREPARE_ROWS = 32768
 
 
 class EventSource(Protocol):
-    """A WAL/binlog tail abstraction: total extent + range read."""
+    """A WAL/binlog tail abstraction: total extent + range read.
+    ``ParquetWalSource`` offers ``fragments(lo, hi)`` instead of ``read``
+    (see ``_prepared_ds``)."""
 
     def lsn_bounds(self) -> tuple[int, int]:  # [lo, hi) of available events
         ...
@@ -105,30 +108,11 @@ class DatasetEventSource:
         )
 
 
-def _scan_wal_footer(path: str, lo: int, hi: int) -> list[dict]:
-    """One segment's (path, rg) fragments overlapping [lo, hi), pruned
-    by the lsn column's row-group statistics."""
-    import pyarrow.parquet as pq
-
-    md = pq.read_metadata(path)
-    try:
-        lsn_i = md.schema.names.index("lsn")
-    except ValueError:
-        lsn_i = None
-    out: list[dict] = []
-    for rg in range(md.num_row_groups):
-        if lsn_i is not None:
-            st = md.row_group(rg).column(lsn_i).statistics
-            if st is not None and st.has_min_max and (
-                st.max < lo or st.min >= hi
-            ):
-                continue
-        out.append({"path": path, "rg": rg})
-    return out
-
-
 class ParquetWalSource:
-    """Replay WAL segments persisted as Parquet, with lsn row-group pushdown."""
+    """Replay WAL segments persisted as Parquet. ``fragments`` plans each
+    epoch from the segment footers, with lsn row-group pruning; the
+    replay reads those row groups inside its prepare tasks
+    (``_prepared_ds``), so the source needs no ``read``."""
 
     def __init__(self, paths: list[str] | str, lsn_lo: int, lsn_hi: int):
         self.paths = paths
@@ -150,56 +134,28 @@ class ParquetWalSource:
             return [paths]
         return list(paths)
 
-    # above this many WAL segments the per-epoch footer scan runs as a
-    # distributed task stage instead of a serial driver loop (a 100 TB
-    # WAL is easily 10^5+ segments; 10^5 serial footer reads per epoch
-    # on the driver would dominate the epoch)
-    distribute_scan_after: int = 256
-
     def fragments(self, lo: int, hi: int) -> list[dict]:
-        """(file, row-group) splits overlapping [lo, hi), pruned by the
-        lsn column statistics. This powers the FUSED read path: Ray 2.49
-        never fuses ReadParquet with downstream map_batches, so the
-        replay's raw payload (html) would round-trip the object store
-        between the read operator and the partition/LWW maps — reading
-        row groups INSIDE the map task removes that extra full-corpus
-        hop (measured: the map chain was the worst-scaling phase of the
-        epoch). Footer metadata is scanned driver-side for small WALs
-        and through a parallel task stage past ``distribute_scan_after``
-        files — only the tiny (path, rg) rows return to the driver."""
-        files = self._files()
-        if len(files) <= self.distribute_scan_after:
-            out: list[dict] = []
-            for p in files:
-                out.extend(_scan_wal_footer(p, lo, hi))
-            return out
+        """The epoch's read plan: one ``{"path", "rg", "rows"}`` per row
+        group overlapping [lo, hi), in ``_files()`` order, then row-group
+        order. Row groups whose lsn statistics fall outside the range are
+        pruned, and ``rows`` is the footer's row count, which sizes the
+        prepare tasks (``_prepared_ds``). Plain driver-side loop over the
+        segment footers: about 0.13 ms per segment on a 4-vCPU VM
+        (BASELINE.md §4c), cheaper than any task stage."""
+        import pyarrow.parquet as pq
 
-        import ray.data as rd
-
-        def scan(batch: dict) -> dict:
-            paths, rgs = [], []
-            for p in batch["item"]:
-                for frag in _scan_wal_footer(str(p), lo, hi):
-                    paths.append(frag["path"])
-                    rgs.append(frag["rg"])
-            return {"path": paths, "rg": rgs}
-
-        rows = rd.from_items(files).map_batches(
-            scan, batch_size=64, batch_format="numpy"
-        ).take_all()  # metadata rows only — never data
-        # restore the serial path's order: _files() list position, then
-        # row group — NOT lexicographic (paths may be an explicit list in
-        # caller-chosen order; the two code paths must read identically)
-        order = {p: i for i, p in enumerate(files)}
-        rows.sort(key=lambda r: (order[str(r["path"])], int(r["rg"])))
-        return [{"path": r["path"], "rg": int(r["rg"])} for r in rows]
-
-    def read(self, lo: int, hi: int):
-        import ray.data as rd
-
-        return rd.read_parquet(
-            self.paths, filter=(pc.field("lsn") >= lo) & (pc.field("lsn") < hi)
-        )
+        out: list[dict] = []
+        for path in self._files():
+            md = pq.read_metadata(path)
+            names = md.schema.names
+            lsn_i = names.index("lsn") if "lsn" in names else None
+            for rg in range(md.num_row_groups):
+                meta = md.row_group(rg)
+                st = None if lsn_i is None else meta.column(lsn_i).statistics
+                if st is not None and st.has_min_max and (st.max < lo or st.min >= hi):
+                    continue
+                out.append({"path": path, "rg": rg, "rows": meta.num_rows})
+        return out
 
 
 def make_prepare(cfg: "ReplayConfig"):
@@ -231,8 +187,11 @@ def _prepared_ds(source, lo: int, hi: int, cfg: "ReplayConfig"):
     separate read stage would round-trip the raw payload (html) through
     the object store before prepare — measured as the epoch's
     worst-scaling phase at 8->32 cpus (memory bandwidth, not CPU). Here
-    only the LWW-combined winners enter the object store. Fragments are
-    bundled to ~_PREPARE_ROWS rows per task.
+    only the LWW-combined winners enter the object store. Each task
+    reads one bundle of whole row groups, filled greedily in fragment
+    order up to ``_PREPARE_ROWS`` footer rows; a row group larger than
+    that is a bundle of its own. The task gets its bundle's index into
+    the list the closure carries.
     NOTE: the read must be fused MANUALLY in one function — composing
     map_batches stages with a batch_size on the tail makes Ray's fusion
     unify the batch size across the whole fused operator, coalescing the
@@ -251,20 +210,22 @@ def _prepared_ds(source, lo: int, hi: int, cfg: "ReplayConfig"):
     frags = source.fragments(lo, hi)
     if not frags:
         return None
-    import json as _json
-
-    per = max(1, _PREPARE_ROWS // 8192)
-    bundles = [
-        _json.dumps(frags[i : i + per]) for i in range(0, len(frags), per)
-    ]
+    bundles: list[list[dict]] = [[]]
+    rows = 0
+    for frag in frags:
+        if bundles[-1] and rows + frag["rows"] > _PREPARE_ROWS:
+            bundles.append([])
+            rows = 0
+        bundles[-1].append(frag)
+        rows += frag["rows"]
 
     def read_and_prepare(batch: dict):
         import pyarrow.parquet as pq
 
         tables = []
-        for b in batch["b"]:
-            for frag in _json.loads(b):
-                t = pq.ParquetFile(frag["path"]).read_row_group(int(frag["rg"]))
+        for i in batch["i"]:
+            for frag in bundles[int(i)]:
+                t = pq.ParquetFile(frag["path"]).read_row_group(frag["rg"])
                 lsn = t.column("lsn")
                 t = t.filter(
                     pc.and_(pc.greater_equal(lsn, pa.scalar(lo)),
@@ -276,7 +237,7 @@ def _prepared_ds(source, lo: int, hi: int, cfg: "ReplayConfig"):
             yield prepare(pa.concat_tables(tables))
 
     return rd.from_items(
-        [{"b": b} for b in bundles], override_num_blocks=len(bundles)
+        [{"i": i} for i in range(len(bundles))], override_num_blocks=len(bundles)
     ).map_batches(read_and_prepare, batch_format="numpy", batch_size=1)
 
 
@@ -292,7 +253,6 @@ class ReplayConfig:
     # when lineage/placement must be SQL-auditable).
     hash_fn: str = "crc32"
     use_metrics: bool = False
-    report: bool = False  # print per-epoch speed lines
     # Derive text = extract_text(html) inside the engine instead of
     # trusting/carrying the source's text column. The incoming text column
     # (if any) is dropped in prepare and extraction runs on the post-LWW
@@ -455,7 +415,7 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
                 {f"partition/{int(e['pid'])}/events": int(e["events"]) for e in entries})
         res.events += n_events
         res.epochs += 1
-        stat = {
+        res.epoch_stats.append({
             "epoch": epoch,
             "lsn_lo": lo,
             "lsn_hi": hi - 1,
@@ -464,16 +424,7 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
             "wall_s": wall,
             "events_per_sec": n_events / wall if wall > 0 else 0.0,
             **ex_stats,  # delta_bytes: the delta files' byte volume
-        }
-        res.epoch_stats.append(stat)
-        if cfg.report:
-            per_part = ", ".join(
-                f"p{int(e['pid'])}={int(e['events']) / wall:.0f}/s" for e in entries[:8]
-            )
-            print(
-                f"epoch {epoch}: {n_events} events in {wall:.2f}s "
-                f"({stat['events_per_sec']:.0f} events/s) | per-partition: {per_part}"
-            )
+        })
         lo = hi
     res.wall_s = time.perf_counter() - t_total
     return res

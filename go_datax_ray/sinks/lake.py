@@ -86,6 +86,12 @@ def _fill_text(t: pa.Table) -> pa.Table:
                         pa.compute.replace_with_mask(text, need, vals))
 
 
+# Write options of every committed partition file: the merge, compact
+# and delete_where all write through them.
+_PARTITION_FILE_OPTS = {"compression": "zstd", "compression_level": 1,
+                        "row_group_size": 64 * 1024}
+
+
 # One row per merged partition, returned by the merge tasks to the
 # driver, which commits them as the epoch's manifest entries.
 ENTRY_SCHEMA = pa.schema([
@@ -156,8 +162,7 @@ def make_delta_merger(
             from .views import write_view_deltas
 
             write_view_deltas(fsh, lake_dir, view_specs, old, new, epoch, pid)
-        fsh.write_parquet(new, final_path(lake_dir, pid, epoch), compression="zstd",
-                          compression_level=1, row_group_size=64 * 1024)
+        fsh.write_parquet(new, final_path(lake_dir, pid, epoch), **_PARTITION_FILE_OPTS)
         return {"pid": pid, "rows": new.num_rows, "events": events,
                 "max_lsn": int(pa.compute.max(new.column("lsn")).as_py()),
                 "schema_json": schema_to_json(new.schema)}
@@ -256,6 +261,30 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
     return ds
 
 
+def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],
+                        retain_history: bool) -> int:
+    """Rewrite every committed partition of ``man`` through ``rewrite``
+    into one new epoch and commit it, returning that epoch. The epoch
+    applies no events and leaves the watermark where it is; each entry
+    keeps its partition's previous ``max_lsn``, since a rewritten
+    partition can end up empty."""
+    epoch = man.epoch + 1
+    entries = []
+    for pid_s, ent in man.partitions.items():
+        pid = int(pid_s)
+        t = rewrite(man.fsh.read_parquet(man.fsh.join(ent["file"])))
+        man.fsh.write_parquet(t, final_path(man.lake_dir, pid, epoch), **_PARTITION_FILE_OPTS)
+        entries.append({"pid": pid, "rows": t.num_rows, "events": 0,
+                        "max_lsn": ent["max_lsn"]})
+    if entries:
+        man.commit_epoch(
+            epoch, lsn_lo=man.watermark_lsn, lsn_hi=man.watermark_lsn,
+            entries=entries, schema_json=man.schema_json or "", wall_s=0.0,
+            retain_history=retain_history,
+        )
+    return epoch
+
+
 def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
             retain_history: bool = False) -> dict[str, int]:
     """Compaction: rewrite partitions dropping delete tombstones with
@@ -268,46 +297,27 @@ def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
     timestamps are monotone per key. Callers that cannot guarantee
     per-key ts monotonicity should pass a horizon older than their
     maximum expected timestamp disorder. Runs through the same
-    tmp -> commit_epoch path, so it is atomic and resumable."""
+    tmp -> commit_epoch path, so it is atomic and resumable; with
+    ``retain_history`` time travel spans the compaction."""
     import pyarrow.compute as pc
 
     from ..state.manifest import Manifest
 
     man = Manifest.load(lake_dir)
     horizon = drop_tombstones_below_lsn if drop_tombstones_below_lsn is not None else man.watermark_lsn
-    epoch = man.epoch + 1
-    entries = []
     dropped = 0
-    for pid_s, ent in man.partitions.items():
-        pid = int(pid_s)
-        t = man.fsh.read_parquet(man.fsh.join(ent["file"]))
+
+    def drop_dead_tombstones(t: pa.Table) -> pa.Table:
+        nonlocal dropped
         is_dead_tomb = pc.and_(
             pc.equal(t.column("op"), pa.scalar("D")),
             pc.less(t.column("lsn"), pa.scalar(horizon, pa.int64())),
         )
-        keep = pc.invert(pc.fill_null(is_dead_tomb, False))
-        out = t.filter(keep)
+        out = t.filter(pc.invert(pc.fill_null(is_dead_tomb, False)))
         dropped += t.num_rows - out.num_rows
-        man.fsh.write_parquet(out, final_path(lake_dir, pid, epoch), compression="zstd",
-                              compression_level=1, row_group_size=64 * 1024)
-        entries.append(
-            {
-                "pid": pid,
-                "rows": out.num_rows,
-                "events": 0,
-                "max_lsn": ent["max_lsn"],
-            }
-        )
-    if entries:
-        man.commit_epoch(
-            epoch,
-            lsn_lo=man.watermark_lsn,
-            lsn_hi=man.watermark_lsn,
-            entries=entries,
-            schema_json=man.schema_json or "",
-            wall_s=0.0,
-            retain_history=retain_history,  # keep time-travel across compaction
-        )
+        return out
+
+    epoch = _rewrite_partitions(man, drop_dead_tombstones, retain_history)
     return {"dropped_tombstones": dropped, "epoch": epoch}
 
 
@@ -321,6 +331,7 @@ def delete_where(lake_dir: str, where: list[list], *,
     it deleted — a later CDC event with a newer version key still wins
     (the same semantics as deleteBy-then-index in the reference)."""
     import pyarrow.compute as pc
+    import pyarrow.dataset as pads
 
     from ..sources.parquet import build_filter
     from ..state.manifest import Manifest
@@ -328,38 +339,27 @@ def delete_where(lake_dir: str, where: list[list], *,
     if not where:
         raise ValueError("delete_where needs at least one condition")
     man = Manifest.load(lake_dir)
-    epoch = man.epoch + 1
-    entries = []
     flipped = 0
     expr = None
-    for pid_s, ent in man.partitions.items():
-        pid = int(pid_s)
-        t = man.fsh.read_parquet(man.fsh.join(ent["file"]))
+
+    def flip_matches(t: pa.Table) -> pa.Table:
+        nonlocal flipped, expr
         if expr is None:
             # Bind string values against the lake's actual column types
             # (parquet._coerce) — built once, from the first partition's
             # schema (all partitions share the manifest schema).
             expr = build_filter(where, t.schema)
-        import pyarrow.dataset as pads
-
         # evaluate the expression as a boolean mask over the partition
         mask_tbl = pads.dataset(t).scanner(columns={"_m": expr}).to_table()
         mask = pc.fill_null(mask_tbl.column("_m"), False)
         flips = pc.sum(pc.cast(mask, pa.int64())).as_py() or 0
-        if flips:
-            new_op = pc.if_else(mask, pa.scalar("D"), t.column("op"))
-            t = t.set_column(t.column_names.index("op"), "op", new_op)
-            flipped += flips
-        man.fsh.write_parquet(t, final_path(lake_dir, pid, epoch), compression="zstd",
-                              compression_level=1, row_group_size=64 * 1024)
-        entries.append({"pid": pid, "rows": t.num_rows, "events": 0,
-                        "max_lsn": ent["max_lsn"]})
-    if entries:
-        man.commit_epoch(
-            epoch, lsn_lo=man.watermark_lsn, lsn_hi=man.watermark_lsn,
-            entries=entries, schema_json=man.schema_json or "", wall_s=0.0,
-            retain_history=retain_history,
-        )
+        if not flips:
+            return t
+        flipped += flips
+        new_op = pc.if_else(mask, pa.scalar("D"), t.column("op"))
+        return t.set_column(t.column_names.index("op"), "op", new_op)
+
+    epoch = _rewrite_partitions(man, flip_matches, retain_history)
     return {"deleted": flipped, "epoch": epoch}
 
 

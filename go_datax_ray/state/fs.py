@@ -206,12 +206,9 @@ class LakeFS:
         if self.local or not hasattr(self.fs, "put_if_match"):
             return None
         if tag is None:
-            if not self.fs.put_if_absent(p, payload.encode()):
-                return False
-            # tag of the object we just created, for the NEXT swap; if a
-            # racer replaces it in this window, our next If-Match simply
-            # fails — conservative, never lost-update
-            return self.fs.get_with_tag(p)[1]
+            # the ETag comes from the create's own PUT response, so a
+            # racer's later overwrite fails our next If-Match
+            return self.fs.put_if_absent(p, payload.encode())
         return self.fs.put_if_match(p, payload.encode(), tag)
 
     def write_json_if_absent(self, p: str, payload: str) -> bool | None:
@@ -240,7 +237,7 @@ class LakeFS:
             finally:
                 os.remove(tmp)
         if hasattr(self.fs, "put_if_absent"):
-            return self.fs.put_if_absent(p, payload.encode())
+            return self.fs.put_if_absent(p, payload.encode()) is not False
         return None
 
     # -- Arrow interop ---------------------------------------------------
@@ -259,14 +256,6 @@ class LakeFS:
             return pq.read_table(p, columns=columns)
         with self.open(p, "rb") as f:
             return pq.read_table(f, columns=columns)
-
-    def read_parquet_schema(self, p: str):
-        import pyarrow.parquet as pq
-
-        if self.local:
-            return pq.read_schema(p)
-        with self.open(p, "rb") as f:
-            return pq.read_schema(f)
 
     def write_parquet(self, table: Any, p: str, **kwargs: Any) -> None:
         """Write ``table`` to ``p``, creating its parent directory."""

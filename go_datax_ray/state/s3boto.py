@@ -167,20 +167,21 @@ class BotoS3FileSystem(AbstractFileSystem):
                 return False
             raise
 
-    def put_if_absent(self, path: str, value: bytes) -> bool:
+    def put_if_absent(self, path: str, value: bytes) -> str | bool:
         """Conditional create (S3 ``If-None-Match: *``, public since 2024
         on AWS and supported by MinIO/Ceph/moto): atomically write the
-        object only if the key does not exist. Returns False when another
-        writer got there first. This is the store-native conditional
-        write the lake's commit protocol uses to fence concurrent
-        committers on object-store lakes (state/manifest.py), lifting
-        the pure last-writer-wins caveat for the commit records."""
+        object only if the key does not exist. Returns the new object's
+        ETag, from the PUT response itself, or False when another writer
+        got there first. This is the store-native conditional write the
+        lake's commit protocol uses to fence concurrent committers on
+        object-store lakes (state/manifest.py), lifting the pure
+        last-writer-wins caveat for the commit records."""
         try:
             bucket, key = self._split(path)
-            self._client.put_object(
+            r = self._client.put_object(
                 Bucket=bucket, Key=key, Body=value, IfNoneMatch="*"
             )
-            return True
+            return r["ETag"]
         except self._client.exceptions.ClientError as e:
             code = e.response.get("Error", {}).get("Code")
             if code in ("PreconditionFailed", "412", "ConditionalRequestConflict"):

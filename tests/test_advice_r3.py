@@ -3,7 +3,8 @@
 Each test pins one previously-reproduced defect:
 - poison-row retry transaction scoping (sqlite + duckdb)
 - string filter values against STRING columns (no int coercion)
-- lake CLI mutating commands take the writer flock
+- lake CLI mutating commands take the writer flock, and load the
+  manifest inside it
 - ${var}-stringified speed limits parse
 - OFFSET/LIMIT splitMode rejects loudly
 """
@@ -105,6 +106,44 @@ def test_lake_cli_gc_respects_writer_lock(tmp_path):
     with writer_lock(lake):  # simulate an in-flight replay
         with pytest.raises(RuntimeError, match="writer lock"):
             main(["gc-orphans", lake])
+
+
+def test_lake_cli_gc_loads_manifest_inside_lock(tmp_path, monkeypatch):
+    """gc-orphans must load the manifest inside the writer lock. A replay
+    that commits epoch E+1 and releases the lock between an early load
+    and the lock left gc with stale partitions, and lineage() drops the
+    records above the stale epoch, so E+1's live files were deleted."""
+    import contextlib
+    import os
+
+    from go_datax_ray.lake_cli import main
+    from go_datax_ray.state import fs as state_fs
+    from go_datax_ray.state.manifest import Manifest, final_path
+
+    lake = str(tmp_path / "lake")
+
+    def commit(epoch: int) -> None:
+        man = Manifest.load(lake)
+        man.num_partitions = 2
+        man.fsh.write_parquet(pa.table({"url": [f"u{epoch}"], "lsn": [epoch]}),
+                              final_path(lake, 0, epoch))
+        man.commit_epoch(epoch, epoch, epoch,
+                         [{"pid": 0, "rows": 1, "events": 1, "max_lsn": epoch}],
+                         schema_json="", wall_s=0.0)
+
+    commit(0)
+    real_lock = state_fs.writer_lock
+
+    @contextlib.contextmanager
+    def lock_after_a_commit(lake_dir):
+        commit(1)  # a replay commits one more epoch and releases the lock
+        with real_lock(lake_dir):
+            yield
+
+    monkeypatch.setattr(state_fs, "writer_lock", lock_after_a_commit)
+    assert main(["gc-orphans", lake]) == 0
+    files = Manifest.load(lake).committed_files()
+    assert files and all(os.path.exists(f) for f in files)
 
 
 def test_speed_limit_accepts_stringified_values():

@@ -173,7 +173,10 @@ def test_manifest_swap_if_match_s3(tmp_path):
     """The manifest pointer itself is CAS-protected on the boto s3 path:
     a writer whose loaded snapshot went stale loses the swap LOUDLY —
     the backstop for maintenance jobs (compact/gc/delete) racing a
-    replay on a remote lake, where no flock exists."""
+    replay on a remote lake, where no flock exists. That includes a
+    racer that overwrites the manifest right after our conditional
+    create: the tag kept for the next swap is the create's own, never
+    the racer's."""
     pytest.importorskip("moto")
     import boto3
     from moto.server import ThreadedMotoServer
@@ -186,7 +189,30 @@ def test_manifest_swap_if_match_s3(tmp_path):
         boto3.client("s3", endpoint_url=ep).create_bucket(Bucket="swapbkt")
         lake = "s3://swapbkt/lake"
         m0 = Manifest(lake_dir=lake, num_partitions=2)
-        m0._save_atomic()  # first write: if-absent
+        racer = boto3.client("s3", endpoint_url=ep)
+        events = m0.fsh.fs._client.meta.events
+        raced = []
+
+        def overwrite_once(**kwargs):
+            if not raced:
+                raced.append(True)
+                racer.put_object(Bucket="swapbkt", Key="lake/_manifest.json",
+                                 Body=json.dumps({
+                                     "num_partitions": 2, "watermark_lsn": 7,
+                                     "epoch": -1, "schema_json": None,
+                                     "partitions": {}, "key": None,
+                                     "hash_fn": None}))
+
+        events.register("after-call.s3.PutObject", overwrite_once)
+        try:
+            m0._save_atomic()  # first write: if-absent, then the racer's PUT
+        finally:
+            events.unregister("after-call.s3.PutObject", overwrite_once)
+        assert raced
+        m0.watermark_lsn = 50
+        with pytest.raises(RuntimeError, match="manifest swap lost"):
+            m0._save_atomic()  # the racer's write must not be overwritten
+        assert Manifest.load(lake).watermark_lsn == 7
         a = Manifest.load(lake)
         b = Manifest.load(lake)
         a.watermark_lsn = 100

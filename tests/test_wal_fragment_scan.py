@@ -1,9 +1,7 @@
-"""Distributed WAL fragment-metadata scan (VERDICT r4 'what's wrong'
-#3): past ``distribute_scan_after`` segments the per-epoch parquet
-footer scan runs as a parallel task stage returning tiny (path, rg)
-rows, not a serial driver loop — a 100 TB WAL is easily 10^5+ segments.
-The distributed path must return EXACTLY the serial path's fragments,
-in the same order, with the same lsn row-group pruning."""
+"""The WAL scan: ``ParquetWalSource.fragments`` plans an epoch from the
+segment footers in one driver-side loop (lsn row-group pruning, list
+order, footer row counts), and ``_prepared_ds`` sizes its prepare tasks
+from those row counts."""
 
 from __future__ import annotations
 
@@ -11,7 +9,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from go_datax_ray.pipelines.cdc_replay import ParquetWalSource, _scan_wal_footer
+from go_datax_ray.pipelines.cdc_replay import ParquetWalSource
 
 
 def _make_wal(tmp_path, n_files: int, rows_per_file: int = 40,
@@ -30,57 +28,76 @@ def _make_wal(tmp_path, n_files: int, rows_per_file: int = 40,
     return str(wal), lo
 
 
-def test_distributed_scan_matches_serial(ray_session, tmp_path):
-    wal, hi = _make_wal(tmp_path, n_files=50)
-    src = ParquetWalSource(wal, 0, hi)
-    lo, mid = 123, 987  # cuts across files and row groups
-    serial = []
-    for p in src._files():
-        serial.extend(_scan_wal_footer(p, lo, mid))
-    src.distribute_scan_after = 8  # force the task-stage path
-    assert src.fragments(lo, mid) == serial
-    # pruning really happened: only segments overlapping [123, 987)
-    touched = {f["path"] for f in serial}
-    assert 0 < len(touched) < 50
-
-
 def test_small_wal_stays_driver_side(tmp_path):
-    """Below the bound no Ray session is needed at all — the scan must
-    not spin up a task stage for a handful of segments."""
+    """The scan reads footers on the driver: no Ray session is needed,
+    every row group is listed with its footer row count, and lsn
+    statistics prune the row groups outside the range."""
     wal, hi = _make_wal(tmp_path, n_files=3)
     src = ParquetWalSource(wal, 0, hi)
     frags = src.fragments(0, hi)
     assert len(frags) == 3 * 4  # every row group listed
     assert frags == sorted(frags, key=lambda f: (f["path"], f["rg"]))
+    assert {f["rows"] for f in frags} == {10}
+    # [23, 87) overlaps lsn groups 20-29 .. 80-89: seg 0 rg 2-3, seg 1, seg 2 rg 0
+    cut = src.fragments(23, 87)
+    assert [(f["path"].rsplit("/", 1)[1], f["rg"]) for f in cut] == [
+        ("seg-00000.parquet", 2), ("seg-00000.parquet", 3),
+        ("seg-00001.parquet", 0), ("seg-00001.parquet", 1),
+        ("seg-00001.parquet", 2), ("seg-00001.parquet", 3),
+        ("seg-00002.parquet", 0),
+    ]
 
 
-def test_replay_through_distributed_scan(ray_session, tmp_path):
-    """End-to-end: a replay whose source is past the bound produces the
-    same lake row count as the serial-scan replay."""
+def test_explicit_path_list_order_preserved(tmp_path):
+    """An explicit non-lexicographic path list yields fragments in LIST
+    order, then row-group order, not sorted-string order."""
+    import glob
+
+    wal, hi = _make_wal(tmp_path, n_files=12)
+    shuffled = sorted(glob.glob(wal + "/*.parquet"))[::-1]
+    frags = ParquetWalSource(shuffled, 0, hi).fragments(0, hi)
+    assert [(f["path"], f["rg"]) for f in frags] == [
+        (p, rg) for p in shuffled for rg in range(4)]
+
+
+def test_oversize_row_groups_get_one_prepare_task_each(ray_session, tmp_path,
+                                                       monkeypatch):
+    """Prepare tasks are sized by footer row counts: with segments of one
+    20k-row row group each (two exceed ``_PREPARE_ROWS``), no task may
+    read more than one segment. With one partition every prepare task
+    writes exactly one delta file, so the epoch's delta files show it."""
+    from go_datax_ray.pipelines import cdc_replay
     from go_datax_ray.pipelines.cdc_replay import ReplayConfig, replay
-    from go_datax_ray.sinks.lake import read_lake_table
+    from go_datax_ray.state.fs import LakeFS
     from go_datax_ray.synth import EventGen, SynthConfig
 
-    cfg_s = SynthConfig(seed=9, n_urls=120)
+    seg = 20_000
+    events = EventGen(SynthConfig(seed=5, n_urls=50_000, payload_bytes=16))(
+        pa.table({"id": np.arange(4 * seg, dtype=np.int64)}))
     wal = tmp_path / "wal"
     wal.mkdir()
-    lo = 0
-    for i in range(20):
-        t = EventGen(cfg_s)(pa.table({"id": np.arange(lo, lo + 100,
-                                                      dtype=np.int64)}))
-        pq.write_table(t, wal / f"seg-{i:05d}.parquet")
-        lo += 100
+    for i in range(4):
+        pq.write_table(events.slice(i * seg, seg), wal / f"seg-{i:05d}.parquet",
+                       row_group_size=seg)
+    assert all(pq.read_metadata(f).num_row_groups == 1 for f in wal.iterdir())
 
-    def run(lake, bound):
-        src = ParquetWalSource(str(wal), 0, lo)
-        src.distribute_scan_after = bound
-        replay(src, ReplayConfig(lake_dir=lake, num_partitions=4,
-                                 epoch_size=1000))
-        return read_lake_table(lake).sort_by("url")
+    lake = str(tmp_path / "lake")
+    delta_lsns = []
+    real_merger = cdc_replay.make_delta_merger
 
-    a = run(str(tmp_path / "lake_serial"), 10_000)
-    b = run(str(tmp_path / "lake_dist"), 4)
-    assert a.equals(b)
+    def merger(lake_dir, epoch, committed, delta_dir, **kw):
+        fsh = LakeFS(lake_dir)
+        for f in fsh.glob(f"{delta_dir}/part_id=0/*.parquet"):
+            lsn = fsh.read_parquet(f, columns=["lsn"]).column("lsn")
+            delta_lsns.append((pa.compute.min(lsn).as_py(), pa.compute.max(lsn).as_py()))
+        return real_merger(lake_dir, epoch, committed, delta_dir, **kw)
+
+    monkeypatch.setattr(cdc_replay, "make_delta_merger", merger)
+    res = replay(ParquetWalSource(str(wal), 0, 4 * seg),
+                 ReplayConfig(lake_dir=lake, num_partitions=1, epoch_size=4 * seg))
+    assert res.epochs == 1
+    assert len(delta_lsns) == 4
+    assert all(lo // seg == hi // seg for lo, hi in delta_lsns), delta_lsns
 
 
 def test_upsert_convenience_path_bounded(ray_session, tmp_path):
@@ -201,19 +218,3 @@ def test_fused_and_generic_prepare_identical(ray_session, tmp_path):
     assert applied == [st["applied"] for st in res_g.epoch_stats]
     assert len(applied) == 3 and sum(applied) == pc.sum(pc.not_equal(
         pc.bit_wise_and(events.column("lsn"), 7), 3)).as_py()
-
-
-def test_explicit_path_list_order_preserved(ray_session, tmp_path):
-    """Review fix: with an explicit non-lexicographic path list, the
-    distributed scan must return fragments in LIST order (the serial
-    path's order), not sorted-string order."""
-    wal, hi = _make_wal(tmp_path, n_files=12)
-    import glob
-    files = sorted(glob.glob(wal + "/*.parquet"))
-    shuffled = files[::-1]  # caller-chosen order, reverse-lexicographic
-    src = ParquetWalSource(shuffled, 0, hi)
-    serial = []
-    for p in src._files():
-        serial.extend(_scan_wal_footer(p, 0, hi))
-    src.distribute_scan_after = 4
-    assert src.fragments(0, hi) == serial
