@@ -5,10 +5,12 @@ A from-scratch re-expression of the capabilities of longkeyy/go-datax
 as an idiomatic Ray Data streaming pipeline, re-targeted at a CDC workload:
 
     WAL/binlog-style change events over Common-Crawl-style web pages
-    -> url-hash partition (salted for hot domains)
-    -> per-key (warc_ts, lsn) last-writer-wins dedup
-    -> merge-apply upsert into a partitioned Parquet lake
-    -> exactly-once commit (partition-epoch manifest + atomic rename)
+    -> url-hash partition, per-batch last-writer-wins combine
+    -> per-partition delta files (one exchange, no shuffle operator)
+    -> per-key (warc_ts, lsn) last-writer-wins merge into a partitioned
+       Parquet lake at content-addressed paths (no data-file rename)
+    -> exactly-once commit (create-if-absent commit record + manifest
+       pointer swap)
     -> checkpoint-resumable replay with per-partition lineage + metrics.
 
 Nothing here calls ray.init(); the embedding process owns the Ray session.

@@ -35,7 +35,7 @@ from ..schema import evolve
 from ..sinks.lake import make_delta_merger, schema_from_json, schema_to_json
 from ..stages.lww import lww_combine_counted
 from ..stages.partition import add_part_id
-from ..state.fs import LakeFS
+from ..state.fs import LakeFS, writer_lock
 from ..state.manifest import Manifest
 from ..synth import SynthConfig, gen_events
 
@@ -301,10 +301,8 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
     fsh = LakeFS(cfg.lake_dir)
     delta_dir = fsh.join("_delta", f"epoch-{epoch:06d}")
     fsh.rmtree(delta_dir)  # idempotent epoch restart
-    pafs = fsh.pa_filesystem()
     ds.write_parquet(delta_dir, partition_cols=["part_id"],
-                     compression=_DELTA_COMPRESSION,
-                     **({"filesystem": pafs} if pafs is not None else {}))
+                     compression=_DELTA_COMPRESSION, filesystem=fsh.pafs)
     pids = sorted(
         int(d.split("=", 1)[1])
         for d in fsh.listdir(delta_dir)
@@ -336,15 +334,6 @@ def replay(source: EventSource, cfg: ReplayConfig) -> ReplayResult:
 
         metrics = get_metrics_actor()
 
-    from ..state.fs import writer_lock
-
-    fsh = LakeFS(cfg.lake_dir)
-    if not fsh.local:
-        # no POSIX flock on object stores: single-writer coordination is
-        # the deployment's job there (HARD requirement — state/fs.py
-        # docstring); the manifest watermark still makes sequential
-        # re-runs exactly-once
-        fsh.makedirs(fsh.root)
     with writer_lock(cfg.lake_dir):
         return _replay_locked(source, cfg, metrics)
 

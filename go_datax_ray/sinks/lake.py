@@ -226,10 +226,7 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
         drop_op = True
     if keys is not None and read_cols is not None and key_col not in read_cols:
         read_cols = list(read_cols) + [key_col]
-    pafs = man.fsh.pa_filesystem()
-    kw = {}
-    if pafs is not None:
-        kw["filesystem"] = pafs
+    kw = {"filesystem": man.fsh.pafs}
     if where:
         from ..sources.parquet import build_filter
 

@@ -242,12 +242,6 @@ _LOG = __import__("logging").getLogger("go_datax_ray.dedup")
 MAX_LSH_BUCKET = 512
 
 
-def _shuffle_blocks(requested: int | None) -> int:
-    from .partition import shuffle_blocks
-
-    return shuffle_blocks(requested)
-
-
 def _col_np(t: pa.Table, name: str) -> np.ndarray:
     """Column as a sortable numpy array: ints pass through; strings go
     through dictionary codes re-ranked to sorted order (so lexsort on

@@ -20,7 +20,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state.refcache import ref_cached
-from ..synth import extract_text
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
@@ -36,23 +35,6 @@ _STOPWORDS = {
     "pt": {"o", "a", "os", "e", "é", "uma", "em", "por", "para", "não"},
     "ru": {"и", "в", "не", "на", "что", "это", "с", "как", "по", "из"},
 }
-
-
-class TextExtract:
-    """Actor-pool stage: html (large_binary) -> text (large_string) via THE
-    fixed extractor (synth.extract_text) — the byte-identity invariant."""
-
-    def __init__(self, html_col: str = "html", out_col: str = "text"):
-        self.html_col = html_col
-        self.out_col = out_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..synth import extract_text_batch
-
-        arr = extract_text_batch(batch.column(self.html_col))
-        if self.out_col in batch.column_names:
-            return batch.set_column(batch.column_names.index(self.out_col), self.out_col, arr)
-        return batch.append_column(self.out_col, arr)
 
 
 # RE2-safe GPT-2-style pre-tokenizer: _BPE_RE minus the `\s+(?!\S)`

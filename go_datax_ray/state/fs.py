@@ -1,26 +1,32 @@
 """Filesystem indirection for the lake data plane.
 
-Plain paths stay on the fast local-OS path (bit-identical behavior to
-round 1); URI paths (``file://``, ``s3://``, ``memory://``, any fsspec
-scheme) route every lake file operation through fsspec, so the lake can
-live on object storage. The data plane needs NO renames (content-
-addressed epoch files, manifest-decided visibility); the two tiny
-manifest/commit JSON swaps use ``os.replace`` locally and ``fs.mv``
-(copy+delete, last-writer-wins) on remote stores.
+Every lake, plain path or URI, goes through one pair of filesystems:
+fsspec's (``url_to_fs``; ``LocalFileSystem`` for plain paths) for file
+operations and a pyarrow one for Parquet I/O (pyarrow's native
+``LocalFileSystem`` for plain paths, an ``FSSpecHandler`` over the fsspec
+one otherwise). So ``file://``, ``s3://``, ``webhdfs://``, ``memory://``
+and plain paths share one code path, and the local tests exercise what
+remote lakes run. The data plane needs NO renames (content-addressed
+epoch files, manifest-decided visibility).
 
-**Object-store lakes are HARD single-writer.** fsspec's ``mv`` is NOT a
-conditional PUT: two concurrent committers on a remote lake can
-last-writer-win the ``_manifest.json`` swap and silently drop the other
-committer's epoch. Local lakes are protected by the flock in
-``writer_lock``; remote lakes have no cross-process lock, so exactly
-one replay/compact/gc job per remote lake is a deployment requirement
-(enforce it in the scheduler). As a second line of defense the commit
-protocol fences each epoch's commit record behind an atomic
-create-if-absent where the store has one — ``os.link`` locally, a
-conditional PUT (S3 ``If-None-Match``) on the boto-backed s3 path
-(``write_json_if_absent`` below, ``Manifest._write_commit_record_fenced``)
-— so a commit race is detected instead of silently lost; generic fsspec
-filesystems without a conditional primitive keep last-writer-wins.
+Only the safety primitives keep a local branch, because plain paths are
+the only place they run: the fsync'd tmp + ``os.replace`` manifest swap,
+the ``os.link`` create-if-absent fence, and the ``writer_lock`` flock.
+Remote stores swap with ``fs.mv`` (copy+delete on object stores,
+namenode rename on HDFS) unless the filesystem has a conditional PUT.
+
+**Object-store lakes are HARD single-writer.** Local lakes are protected
+by the flock in ``writer_lock``; remote lakes have no cross-process
+lock, so exactly one replay/compact/gc job per remote lake is a
+deployment requirement (enforce it in the scheduler). As a second line
+of defense the commit protocol fences each epoch's commit record behind
+an atomic create-if-absent where the store has one — ``os.link``
+locally, a conditional PUT (S3 ``If-None-Match``) on the boto-backed s3
+path (``write_json_if_absent`` below,
+``Manifest._write_commit_record_fenced``) — and on that s3 path the
+manifest swap is an ``If-Match`` PUT, so a race is detected instead of
+silently lost; generic fsspec filesystems without a conditional
+primitive keep last-writer-wins.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ import contextlib
 import os
 import posixpath
 from typing import Any
+
+import fsspec
+import pyarrow.fs
+import pyarrow.parquet as pq
 
 
 @contextlib.contextmanager
@@ -62,87 +72,58 @@ def writer_lock(lake_dir: str):
 
 
 class LakeFS:
-    """Tiny fs facade: local os.* fast path or an fsspec filesystem.
-    Callers pass paths built with ``join`` (or ``/``-joined onto one)
-    and never branch on which of the two they got."""
+    """Tiny fs facade over one fsspec filesystem (``fs``) and one pyarrow
+    filesystem (``pafs``) for the same store. Callers pass paths built
+    with ``join`` (or ``/``-joined onto one) and never branch on the
+    store. Besides picking ``pafs``, ``local`` is read only by the
+    safety primitives."""
 
     def __init__(self, base):
         self.base = base = str(base)
         self.local = "://" not in base
-        if self.local:
-            self.fs = None
-            self.root = base
-        else:
-            import fsspec
-
-            self.fs, self.root = fsspec.core.url_to_fs(base)
+        self.fs, self.root = fsspec.core.url_to_fs(base)
+        self.pafs = (pyarrow.fs.LocalFileSystem() if self.local else
+                     pyarrow.fs.PyFileSystem(pyarrow.fs.FSSpecHandler(self.fs)))
 
     # -- paths -----------------------------------------------------------
     def join(self, *parts: str) -> str:
-        return (os.path.join if self.local else posixpath.join)(self.root, *parts)
+        return posixpath.join(self.root, *parts)
 
     def relpath(self, p: str) -> str:
-        return (os.path if self.local else posixpath).relpath(p, self.root)
+        return posixpath.relpath(p, self.root)
 
     # -- predicates ------------------------------------------------------
     def exists(self, p: str) -> bool:
-        return os.path.exists(p) if self.local else self.fs.exists(p)
+        return self.fs.exists(p)
 
     def isdir(self, p: str) -> bool:
-        return os.path.isdir(p) if self.local else self.fs.isdir(p)
+        return self.fs.isdir(p)
 
     # -- ops -------------------------------------------------------------
     def makedirs(self, p: str) -> None:
-        if self.local:
-            os.makedirs(p, exist_ok=True)
-        else:
-            self.fs.makedirs(p, exist_ok=True)
+        self.fs.makedirs(p, exist_ok=True)
 
     def open(self, p: str, mode: str = "rb"):
-        if self.local:
-            return open(p, mode)
         return self.fs.open(p, mode)
 
     def glob(self, pattern: str) -> list[str]:
-        if self.local:
-            import glob
-
-            return sorted(glob.glob(pattern))
         return sorted(self.fs.glob(pattern))
 
     def du(self, p: str) -> int:
         """Total bytes of the files under ``p`` (0 when it is missing)."""
-        if not self.local:
-            try:
-                return int(self.fs.du(p))
-            except FileNotFoundError:
-                return 0
-        total = 0
-        for root, _dirs, files in os.walk(p):
-            for f in files:
-                try:
-                    total += os.path.getsize(os.path.join(root, f))
-                except OSError:
-                    pass
-        return total
+        try:
+            return int(self.fs.du(p))
+        except FileNotFoundError:
+            return 0
 
     def listdir(self, p: str) -> list[str]:
-        if self.local:
-            return sorted(os.listdir(p))
         return sorted(posixpath.basename(x.rstrip("/")) for x in self.fs.ls(p, detail=False))
 
     def remove(self, p: str) -> None:
-        if self.local:
-            os.remove(p)
-        else:
-            self.fs.rm(p)
+        self.fs.rm(p)
 
     def rmtree(self, p: str) -> None:
-        if self.local:
-            import shutil
-
-            shutil.rmtree(p, ignore_errors=True)
-        elif self.fs.exists(p):
+        if self.fs.exists(p):
             self.fs.rm(p, recursive=True)
 
     def replace(self, src: str, dst: str) -> None:
@@ -172,9 +153,8 @@ class LakeFS:
 
     def write_json_atomic(self, p: str, payload: str) -> None:
         tmp = p + ".tmp"
-        with self.open(tmp, "w" if self.local else "wb") as f:
-            data = payload if self.local else payload.encode()
-            f.write(data)
+        with self.open(tmp, "wb") as f:
+            f.write(payload.encode())
             if self.local:
                 f.flush()
                 os.fsync(f.fileno())
@@ -186,12 +166,11 @@ class LakeFS:
         local manifest is protected by the writer flock instead); the
         boto s3 path returns the object's ETag, read in the same GET as
         the content."""
-        if not self.local and hasattr(self.fs, "get_with_tag"):
+        if hasattr(self.fs, "get_with_tag"):
             data, tag = self.fs.get_with_tag(p)
             return data.decode(), tag
-        with self.open(p, "r" if self.local else "rb") as f:
-            data = f.read()
-        return (data if isinstance(data, str) else data.decode()), None
+        with self.open(p, "rb") as f:
+            return f.read().decode(), None
 
     def replace_json_if_match(
         self, p: str, payload: str, tag: str | None
@@ -203,7 +182,7 @@ class LakeFS:
         None when this filesystem has no conditional primitive — the
         caller falls back to write_json_atomic (flock-protected locally,
         documented last-writer-wins on generic remotes)."""
-        if self.local or not hasattr(self.fs, "put_if_match"):
+        if not hasattr(self.fs, "put_if_match"):
             return None
         if tag is None:
             # the ETag comes from the create's own PUT response, so a
@@ -243,27 +222,12 @@ class LakeFS:
     # -- Arrow interop ---------------------------------------------------
     def pa_filesystem(self):
         """pyarrow FileSystem for ray.data read/write on this fs."""
-        if self.local:
-            return None
-        from pyarrow.fs import FSSpecHandler, PyFileSystem
-
-        return PyFileSystem(FSSpecHandler(self.fs))
+        return self.pafs
 
     def read_parquet(self, p: str, columns: list[str] | None = None):
-        import pyarrow.parquet as pq
-
-        if self.local:
-            return pq.read_table(p, columns=columns)
-        with self.open(p, "rb") as f:
-            return pq.read_table(f, columns=columns)
+        return pq.read_table(p, columns=columns, filesystem=self.pafs)
 
     def write_parquet(self, table: Any, p: str, **kwargs: Any) -> None:
         """Write ``table`` to ``p``, creating its parent directory."""
-        import pyarrow.parquet as pq
-
-        self.makedirs((os.path if self.local else posixpath).dirname(p))
-        if self.local:
-            pq.write_table(table, p, **kwargs)
-        else:
-            with self.open(p, "wb") as f:
-                pq.write_table(table, f, **kwargs)
+        self.makedirs(posixpath.dirname(p))
+        pq.write_table(table, p, filesystem=self.pafs, **kwargs)

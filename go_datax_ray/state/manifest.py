@@ -287,7 +287,7 @@ class Manifest:
             return
         if won:
             return
-        with self.fsh.open(cpath, "r" if self.fsh.local else "rb") as f:
+        with self.fsh.open(cpath) as f:
             existing = json.load(f)
         if self._stable_fields(existing) == self._stable_fields(commit_rec):
             return  # resumed idempotent replay: the record is already ours
@@ -399,9 +399,7 @@ class Manifest:
         out = []
         for name in self.fsh.listdir(cdir):
             if name.endswith(".json") and not name.endswith(".tmp"):
-                with self.fsh.open(
-                    self.fsh.join(COMMITS_DIR, name), "r" if self.fsh.local else "rb"
-                ) as f:
+                with self.fsh.open(self.fsh.join(COMMITS_DIR, name)) as f:
                     rec = json.load(f)
                 if rec["epoch"] <= self.epoch:
                     out.append(rec)

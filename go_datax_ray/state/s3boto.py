@@ -19,9 +19,12 @@ OSS S3-compat mode, a loopback test server) comes from the
 ``endpoint_url=`` storage option or ``AWS_ENDPOINT_URL``.
 
 Semantics that matter to the lake (`state/fs.py` module docstring):
-``mv`` is fsspec's default copy+delete — NOT a conditional PUT — so the
-manifest swap on an object-store lake is last-writer-wins and the hard
-single-writer deployment requirement applies unchanged.
+``put_if_absent`` (``If-None-Match``) fences each epoch's commit record
+and ``put_if_match`` (``If-Match`` on the ETag the manifest was loaded
+with) swaps the manifest, so a concurrent writer loses loudly instead of
+last-writer-winning. Data files need no swap (content-addressed names).
+A write that raises inside its ``with`` block publishes nothing: its
+multipart upload is aborted and the final PUT is skipped.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from typing import Any
 
 from fsspec import AbstractFileSystem
 from fsspec.spec import AbstractBufferedFile
+
+_MIN_PART = 5 * 2**20  # S3 rejects multipart parts below 5 MiB (EntityTooSmall)
+_PRECONDITION_CODES = ("PreconditionFailed", "412", "ConditionalRequestConflict")
 
 
 class BotoS3FileSystem(AbstractFileSystem):
@@ -155,17 +161,7 @@ class BotoS3FileSystem(AbstractFileSystem):
         atomically overwrite the object only if its current ETag still
         equals ``etag``. Returns the NEW ETag on success, False when the
         object moved underneath us (someone else swapped first)."""
-        try:
-            bucket, key = self._split(path)
-            r = self._client.put_object(
-                Bucket=bucket, Key=key, Body=value, IfMatch=etag
-            )
-            return r["ETag"]
-        except self._client.exceptions.ClientError as e:
-            code = e.response.get("Error", {}).get("Code")
-            if code in ("PreconditionFailed", "412", "ConditionalRequestConflict"):
-                return False
-            raise
+        return self._put_conditional(path, value, IfMatch=etag)
 
     def put_if_absent(self, path: str, value: bytes) -> str | bool:
         """Conditional create (S3 ``If-None-Match: *``, public since 2024
@@ -174,19 +170,30 @@ class BotoS3FileSystem(AbstractFileSystem):
         ETag, from the PUT response itself, or False when another writer
         got there first. This is the store-native conditional write the
         lake's commit protocol uses to fence concurrent committers on
-        object-store lakes (state/manifest.py), lifting the pure
-        last-writer-wins caveat for the commit records."""
+        object-store lakes (state/manifest.py)."""
+        return self._put_conditional(path, value, IfNoneMatch="*")
+
+    def _put_conditional(self, path: str, value: bytes, **cond: str) -> str | bool:
+        """PUT ``value`` under the S3 condition ``cond``; the ETag on
+        success, False when the condition fails.
+
+        botocore retries a PUT whose response was lost, so a conditional
+        PUT that already landed can come back as 412 against its own
+        write. A 412 is therefore read back: an object whose body equals
+        ``value`` is ours (or byte-identical to ours), and its ETag is
+        returned."""
+        bucket, key = self._split(path)
         try:
-            bucket, key = self._split(path)
-            r = self._client.put_object(
-                Bucket=bucket, Key=key, Body=value, IfNoneMatch="*"
-            )
-            return r["ETag"]
+            return self._client.put_object(
+                Bucket=bucket, Key=key, Body=value, **cond)["ETag"]
         except self._client.exceptions.ClientError as e:
-            code = e.response.get("Error", {}).get("Code")
-            if code in ("PreconditionFailed", "412", "ConditionalRequestConflict"):
-                return False
-            raise
+            if e.response.get("Error", {}).get("Code") not in _PRECONDITION_CODES:
+                raise
+        try:
+            body, tag = self.get_with_tag(path)
+        except self._client.exceptions.NoSuchKey:
+            return False
+        return tag if body == value else False
 
     # -- directories: objects stores have none ------------------------------
     def mkdir(self, path: str, create_parents: bool = True, **kwargs: Any) -> None:
@@ -200,11 +207,27 @@ class BotoS3FileSystem(AbstractFileSystem):
 
     # -- open ---------------------------------------------------------------
     def _open(self, path: str, mode: str = "rb", block_size=None, **kwargs: Any):
-        return BotoS3File(self, path, mode, block_size=block_size or "default")
+        return BotoS3File(self, path, mode, block_size=max(block_size or 0, _MIN_PART))
 
 
 class BotoS3File(AbstractBufferedFile):
-    """Ranged GETs on read; single PUT below one block, multipart above."""
+    """Ranged GETs on read; single PUT below one block, multipart above.
+    A write whose ``with`` block raises is discarded, not published."""
+
+    def __exit__(self, exc_type, *args):
+        if exc_type is not None and self.writable():
+            self.discard()
+        return super().__exit__(exc_type, *args)
+
+    def discard(self) -> None:
+        """Abort the multipart upload, if one started, and close without
+        the final PUT."""
+        if getattr(self, "_mpu", None) is not None:
+            fs: BotoS3FileSystem = self.fs
+            bucket, key = fs._split(self.path)
+            fs._client.abort_multipart_upload(
+                Bucket=bucket, Key=key, UploadId=self._mpu["UploadId"])
+        self.closed = True
 
     def _fetch_range(self, start: int, end: int) -> bytes:
         if start >= end:

@@ -40,25 +40,16 @@ def test_write_json_if_absent_generic_fsspec_is_none(tmp_path):
     assert fsh.write_json_if_absent(fsh.join("rec.json"), "{}") is None
 
 
-def test_put_if_absent_s3(tmp_path):
-    pytest.importorskip("moto")
+def test_put_if_absent_s3(moto_server):
     import boto3
-    from moto.server import ThreadedMotoServer
 
-    ep = os.environ["AWS_ENDPOINT_URL"]
-    port = int(ep.rsplit(":", 1)[1])
-    srv = ThreadedMotoServer(ip_address="127.0.0.1", port=port, verbose=False)
-    srv.start()
-    try:
-        boto3.client("s3", endpoint_url=ep).create_bucket(Bucket="casbkt")
-        fsh = LakeFS("s3://casbkt/lake")
-        p = fsh.join(COMMITS_DIR, "epoch-000000.json")
-        assert fsh.write_json_if_absent(p, '{"v": 1}') is True
-        assert fsh.write_json_if_absent(p, '{"v": 2}') is False
-        with fsh.open(p, "rb") as f:
-            assert json.load(f) == {"v": 1}
-    finally:
-        srv.stop()
+    boto3.client("s3", endpoint_url=moto_server).create_bucket(Bucket="casbkt")
+    fsh = LakeFS("s3://casbkt/lake")
+    p = fsh.join(COMMITS_DIR, "epoch-000000.json")
+    assert fsh.write_json_if_absent(p, '{"v": 1}') is True
+    assert fsh.write_json_if_absent(p, '{"v": 2}') is False
+    with fsh.open(p, "rb") as f:
+        assert json.load(f) == {"v": 1}
 
 
 # ------------------------------------------------------------- the 3 branches
@@ -169,7 +160,7 @@ def test_orphan_record_reclaimed(ray_session, tmp_path):
     assert final.lineage()[-1]["lsn_hi"] == 2000  # reclaimed, not the orphan
 
 
-def test_manifest_swap_if_match_s3(tmp_path):
+def test_manifest_swap_if_match_s3(moto_server):
     """The manifest pointer itself is CAS-protected on the boto s3 path:
     a writer whose loaded snapshot went stale loses the swap LOUDLY —
     the backstop for maintenance jobs (compact/gc/delete) racing a
@@ -177,61 +168,84 @@ def test_manifest_swap_if_match_s3(tmp_path):
     racer that overwrites the manifest right after our conditional
     create: the tag kept for the next swap is the create's own, never
     the racer's."""
-    pytest.importorskip("moto")
     import boto3
-    from moto.server import ThreadedMotoServer
 
-    ep = os.environ["AWS_ENDPOINT_URL"]
-    port = int(ep.rsplit(":", 1)[1])
-    srv = ThreadedMotoServer(ip_address="127.0.0.1", port=port, verbose=False)
-    srv.start()
+    boto3.client("s3", endpoint_url=moto_server).create_bucket(Bucket="swapbkt")
+    lake = "s3://swapbkt/lake"
+    m0 = Manifest(lake_dir=lake, num_partitions=2)
+    racer = boto3.client("s3", endpoint_url=moto_server)
+    events = m0.fsh.fs._client.meta.events
+    raced = []
+
+    def overwrite_once(**kwargs):
+        if not raced:
+            raced.append(True)
+            racer.put_object(Bucket="swapbkt", Key="lake/_manifest.json",
+                             Body=json.dumps({
+                                 "num_partitions": 2, "watermark_lsn": 7,
+                                 "epoch": -1, "schema_json": None,
+                                 "partitions": {}, "key": None,
+                                 "hash_fn": None}))
+
+    events.register("after-call.s3.PutObject", overwrite_once)
     try:
-        boto3.client("s3", endpoint_url=ep).create_bucket(Bucket="swapbkt")
-        lake = "s3://swapbkt/lake"
-        m0 = Manifest(lake_dir=lake, num_partitions=2)
-        racer = boto3.client("s3", endpoint_url=ep)
-        events = m0.fsh.fs._client.meta.events
-        raced = []
-
-        def overwrite_once(**kwargs):
-            if not raced:
-                raced.append(True)
-                racer.put_object(Bucket="swapbkt", Key="lake/_manifest.json",
-                                 Body=json.dumps({
-                                     "num_partitions": 2, "watermark_lsn": 7,
-                                     "epoch": -1, "schema_json": None,
-                                     "partitions": {}, "key": None,
-                                     "hash_fn": None}))
-
-        events.register("after-call.s3.PutObject", overwrite_once)
-        try:
-            m0._save_atomic()  # first write: if-absent, then the racer's PUT
-        finally:
-            events.unregister("after-call.s3.PutObject", overwrite_once)
-        assert raced
-        m0.watermark_lsn = 50
-        with pytest.raises(RuntimeError, match="manifest swap lost"):
-            m0._save_atomic()  # the racer's write must not be overwritten
-        assert Manifest.load(lake).watermark_lsn == 7
-        a = Manifest.load(lake)
-        b = Manifest.load(lake)
-        a.watermark_lsn = 100
-        a._save_atomic()  # A swaps first
-        b.watermark_lsn = 200
-        with pytest.raises(RuntimeError, match="manifest swap lost"):
-            b._save_atomic()  # B's snapshot is stale
-        # A's state survived; B reloads and can proceed
-        cur = Manifest.load(lake)
-        assert cur.watermark_lsn == 100
-        cur.watermark_lsn = 200
-        cur._save_atomic()
-        assert Manifest.load(lake).watermark_lsn == 200
-        # creating over an existing manifest (tag None) also loses loudly
-        fresh = Manifest(lake_dir=lake, num_partitions=2)
-        with pytest.raises(RuntimeError, match="manifest swap lost"):
-            fresh._save_atomic()
+        m0._save_atomic()  # first write: if-absent, then the racer's PUT
     finally:
-        srv.stop()
+        events.unregister("after-call.s3.PutObject", overwrite_once)
+    assert raced
+    m0.watermark_lsn = 50
+    with pytest.raises(RuntimeError, match="manifest swap lost"):
+        m0._save_atomic()  # the racer's write must not be overwritten
+    assert Manifest.load(lake).watermark_lsn == 7
+    a = Manifest.load(lake)
+    b = Manifest.load(lake)
+    a.watermark_lsn = 100
+    a._save_atomic()  # A swaps first
+    b.watermark_lsn = 200
+    with pytest.raises(RuntimeError, match="manifest swap lost"):
+        b._save_atomic()  # B's snapshot is stale
+    # A's state survived; B reloads and can proceed
+    cur = Manifest.load(lake)
+    assert cur.watermark_lsn == 100
+    cur.watermark_lsn = 200
+    cur._save_atomic()
+    assert Manifest.load(lake).watermark_lsn == 200
+    # creating over an existing manifest (tag None) also loses loudly
+    fresh = Manifest(lake_dir=lake, num_partitions=2)
+    with pytest.raises(RuntimeError, match="manifest swap lost"):
+        fresh._save_atomic()
+
+
+def test_conditional_put_resent_after_lost_response_s3(moto_server, monkeypatch):
+    """botocore re-sends a PUT whose response was lost. When the first
+    conditional PUT had landed, the re-send fails its condition against
+    this writer's own object (412). Commits must still succeed and keep
+    the object's real ETag for the next If-Match swap."""
+    import boto3
+
+    s3 = boto3.client("s3", endpoint_url=moto_server)
+    s3.create_bucket(Bucket="resendbkt")
+    lake = "s3://resendbkt/lake"
+    man = Manifest(lake_dir=lake, num_partitions=2)
+    client = man.fsh.fs._client
+    real_put = client.put_object
+    resent = []
+
+    def put_with_lost_response(**kw):
+        if "IfMatch" in kw or "IfNoneMatch" in kw:
+            real_put(**kw)  # lands; its response never reaches us
+            resent.append(kw["Key"])
+        return real_put(**kw)
+
+    monkeypatch.setattr(client, "put_object", put_with_lost_response)
+    for epoch in (0, 1):  # If-None-Match create, then If-Match swap
+        assert man.commit_epoch(epoch, epoch * 10, epoch * 10 + 9, [], None,
+                                wall_s=0.1)
+        head = s3.head_object(Bucket="resendbkt", Key="lake/_manifest.json")
+        assert man._swap_tag == head["ETag"]
+    assert resent.count("lake/_manifest.json") == 2
+    assert resent.count("lake/_commits/epoch-000001.json") == 1
+    assert Manifest.load(lake).watermark_lsn == 19
 
 
 def test_replay_still_green_end_to_end(ray_session, tmp_path):

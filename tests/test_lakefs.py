@@ -1,0 +1,96 @@
+"""LakeFS has one code path for every store: the same checks run over a
+plain path, a ``file://`` URI and a loopback moto ``s3://`` bucket."""
+
+import os
+import posixpath
+
+import pyarrow as pa
+import pytest
+
+from go_datax_ray.pipelines.cdc_replay import ReplayConfig, SynthEventSource, replay
+from go_datax_ray.state.fs import LakeFS
+from go_datax_ray.state.manifest import Manifest
+from go_datax_ray.synth import SynthConfig
+
+BUCKET = "lakefsbkt"
+
+
+@pytest.fixture(params=["plain", "file", "s3"])
+def fsh(request, tmp_path):
+    if request.param == "plain":
+        return LakeFS(str(tmp_path / "lake"))
+    if request.param == "file":
+        return LakeFS("file://" + str(tmp_path / "lake"))
+    import boto3
+
+    ep = request.getfixturevalue("moto_server")
+    boto3.client("s3", endpoint_url=ep).create_bucket(Bucket=BUCKET)
+    return LakeFS(f"s3://{BUCKET}/{tmp_path.name}")
+
+
+def _write(fsh, rel: str, data: bytes) -> str:
+    p = fsh.join(rel)
+    fsh.makedirs(posixpath.dirname(p))
+    with fsh.open(p, "wb") as f:
+        f.write(data)
+    return p
+
+
+def test_parquet_round_trip(fsh):
+    t = pa.table({"url": ["a", "b", "c"], "lsn": [3, 1, 2], "text": ["x", None, "z"]})
+    p = fsh.join("part-00000", "part-00000-epoch-000000.parquet")
+    fsh.write_parquet(t, p, compression="zstd")  # creates the parent dir
+    assert fsh.read_parquet(p).equals(t)
+    assert fsh.read_parquet(p, columns=["lsn"]).equals(t.select(["lsn"]))
+
+
+def test_glob_and_listdir_agree(fsh):
+    for name in ("b.parquet", "a.parquet", "c.json"):
+        _write(fsh, f"d/{name}", b"{}")
+    names = ["a.parquet", "b.parquet", "c.json"]
+    assert fsh.listdir(fsh.join("d")) == names
+    assert [posixpath.basename(p) for p in fsh.glob(fsh.join("d", "*"))] == names
+    assert [posixpath.basename(p) for p in fsh.glob(fsh.join("d", "*.parquet"))] == names[:2]
+    assert fsh.glob(fsh.join("d", "*.csv")) == []
+
+
+def test_du_counts_written_bytes(fsh):
+    _write(fsh, "d/x.bin", b"a" * 1000)
+    _write(fsh, "d/sub/y.bin", b"b" * 234)
+    assert fsh.du(fsh.join("d")) == 1234
+    assert fsh.du(fsh.join("missing")) == 0
+
+
+def test_rmtree_exists_isdir(fsh):
+    p = _write(fsh, "d/sub/y.bin", b"b")
+    d = fsh.join("d")
+    assert fsh.exists(p) and not fsh.isdir(p)
+    assert fsh.exists(d) and fsh.isdir(d)
+    fsh.rmtree(d)
+    assert not fsh.exists(p) and not fsh.exists(d) and not fsh.isdir(d)
+    fsh.rmtree(d)  # missing: no error
+
+
+def test_relpath_inverts_join(fsh):
+    for rel in ("_manifest.json", "part-00001/part-00001-epoch-000002.parquet"):
+        assert fsh.relpath(fsh.join(rel)) == rel
+
+
+def test_relative_lake_dir_matches_absolute(ray_session, tmp_path):
+    """A relative ``lake_dir`` commits the same manifest ``file`` entries
+    as the same replay at an absolute path; ``committed_files()`` come
+    back absolute."""
+    abs_lake = str(tmp_path / "abs_lake")
+    rel_lake = os.path.relpath(str(tmp_path / "rel_lake"))
+    assert not os.path.isabs(rel_lake)
+    cfg = SynthConfig(seed=5, n_urls=120)
+    for lake in (abs_lake, rel_lake):
+        replay(SynthEventSource(2000, cfg),
+               ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000))
+    a, r = Manifest.load(abs_lake), Manifest.load(rel_lake)
+    assert r.epoch == a.epoch == 1
+    assert ({pid: e["file"] for pid, e in r.partitions.items()}
+            == {pid: e["file"] for pid, e in a.partitions.items()})
+    assert all(os.path.isabs(f) and os.path.exists(f) for f in r.committed_files())
+    assert [rec["partitions"] for rec in r.lineage()] == [
+        rec["partitions"] for rec in a.lineage()]

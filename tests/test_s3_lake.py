@@ -23,23 +23,18 @@ from go_datax_ray.pipelines.cdc_replay import ReplayConfig, SynthEventSource, re
 from go_datax_ray.sinks.lake import read_lake, read_lake_table
 from go_datax_ray.state.fs import LakeFS
 from go_datax_ray.state.manifest import Manifest
+from go_datax_ray.state.s3boto import BotoS3FileSystem
 from go_datax_ray.synth import SynthConfig
 
 BUCKET = "enginetest"
 
 
 @pytest.fixture(scope="module")
-def s3_bucket():
+def s3_bucket(moto_server):
     import boto3
-    from moto.server import ThreadedMotoServer
 
-    ep = os.environ["AWS_ENDPOINT_URL"]
-    port = int(ep.rsplit(":", 1)[1])
-    srv = ThreadedMotoServer(ip_address="127.0.0.1", port=port, verbose=False)
-    srv.start()
-    boto3.client("s3", endpoint_url=ep).create_bucket(Bucket=BUCKET)
-    yield BUCKET
-    srv.stop()
+    boto3.client("s3", endpoint_url=moto_server).create_bucket(Bucket=BUCKET)
+    return BUCKET
 
 
 def test_s3_lake_replay_round_trip(s3_bucket, tmp_path):
@@ -143,7 +138,7 @@ def test_s3_multipart_and_manifest_swap(s3_bucket):
         assert f.read(16) == payload[:16]
         f.seek(len(payload) - 16)
         assert f.read(16) == payload[-16:]
-    assert fsh.exists(p) and not fsh.local
+    assert fsh.exists(p) and isinstance(fsh.fs, BotoS3FileSystem)
     # manifest-style swap: tmp write + mv (copy+delete on S3) is
     # last-writer-wins, never leaves the tmp object behind
     m = fsh.join("_manifest.json")
@@ -171,3 +166,23 @@ def test_boto_fs_pickle_keeps_endpoint(monkeypatch):
     blob = pickle.dumps(fs)
     BotoS3FileSystem.clear_instance_cache()
     assert pickle.loads(blob)._client.meta.endpoint_url == "http://127.0.0.1:2"
+
+
+@pytest.mark.parametrize("size", [6 * 2**20, 2**20], ids=["multipart", "single-put"])
+def test_s3_write_that_raises_publishes_nothing(s3_bucket, size):
+    """A write whose ``with`` block raises leaves neither an object nor
+    an open multipart upload behind, above and below one 5 MiB part. A
+    smaller requested block size is clamped to the 5 MiB S3 part floor."""
+    import boto3
+
+    fs = LakeFS(f"s3://{s3_bucket}/aborted").fs
+    key = f"{s3_bucket}/aborted/obj-{size}.bin"
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with fs.open(key, "wb", block_size=2**20) as f:
+            assert f.blocksize == 5 * 2**20
+            f.write(b"x" * size)
+            raise RuntimeError("mid-write failure")
+    assert not fs.exists(key)
+    s3 = boto3.client("s3", endpoint_url=os.environ["AWS_ENDPOINT_URL"])
+    ups = s3.list_multipart_uploads(Bucket=s3_bucket, Prefix="aborted/")
+    assert ups.get("Uploads", []) == []
