@@ -10,12 +10,18 @@ pipeline per epoch:
       .map_batches(prepare)                  # transform, drop text,
                                              # add_part_id, LWW combine
       .write_parquet(partition_cols=[part_id])   # per-partition deltas
-    -> one merge task per partition id       # committed file + deltas
+    -> one merge task per partition id       # committed file + deltas,
+                                             # from one driver listing
     -> driver commits the epoch atomically (manifest + rename)
 
 ``ParquetWalSource`` plans the epoch from its segment footers
 (``fragments``) and runs the same ``prepare`` inside its row-group read
 task instead (see ``_prepared_ds``).
+
+Each epoch's phases are timed (``scan_s``, ``prepare_write_s``,
+``merge_s``, ``commit_s``) into ``ReplayResult.epoch_stats``; all but
+``commit_s`` also go into the epoch's commit record, with the delta
+files' count and bytes.
 
 The epoch loop is the checkpoint unit: a crash between epochs resumes
 from the manifest watermark; a crash mid-epoch replays the whole epoch,
@@ -24,6 +30,7 @@ which is idempotent (deterministic tmp names + LWW + manifest gate).
 
 from __future__ import annotations
 
+import posixpath
 import time
 from dataclasses import dataclass, field
 from typing import Any, Protocol
@@ -33,6 +40,7 @@ import pyarrow.compute as pc
 
 from ..schema import evolve
 from ..sinks.lake import make_delta_merger, schema_from_json, schema_to_json
+from ..sinks.views import clear_view_deltas
 from ..stages.lww import lww_combine_counted
 from ..stages.partition import add_part_id
 from ..state.fs import LakeFS, writer_lock
@@ -292,31 +300,38 @@ class ReplayResult:
 def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
                      committed: dict[int, str], stats: dict) -> list[dict]:
     """The delta exchange: write the prepared events into per-partition
-    delta files (``write_parquet(partition_cols=[part_id])``), then merge
-    each partition in its own task (write-then-compact, no shuffle
-    operator). Returns the manifest entry rows; ``stats`` receives
-    ``delta_bytes``, the exchange's byte volume."""
+    delta files (``write_parquet(partition_cols=[part_id])``), list them
+    once, then merge each partition in its own task from its exact files
+    (write-then-compact, no shuffle operator). Returns the manifest entry
+    rows; ``stats`` receives the phase seconds ``prepare_write_s`` and
+    ``merge_s`` and the listing's ``delta_files`` and ``delta_bytes``."""
     import ray.data as rd
 
     fsh = LakeFS(cfg.lake_dir)
     delta_dir = fsh.join("_delta", f"epoch-{epoch:06d}")
     fsh.rmtree(delta_dir)  # idempotent epoch restart
+    if cfg.views:
+        clear_view_deltas(fsh, epoch)
+    t0 = time.perf_counter()
     ds.write_parquet(delta_dir, partition_cols=["part_id"],
                      compression=_DELTA_COMPRESSION, filesystem=fsh.pafs)
-    pids = sorted(
-        int(d.split("=", 1)[1])
-        for d in fsh.listdir(delta_dir)
-        if d.startswith("part_id=")
-    ) if fsh.isdir(delta_dir) else []
-    if not pids:
+    t1 = time.perf_counter()
+    listing = fsh.find(delta_dir)  # path order: the merge's tie-break order
+    inputs: dict[int, tuple[str | None, list[str]]] = {}  # pid -> (committed, deltas)
+    for path in listing:  # {delta_dir}/part_id={pid}/{file}.parquet
+        pid = int(posixpath.basename(posixpath.dirname(path)).removeprefix("part_id="))
+        inputs.setdefault(pid, (committed.get(pid), []))[1].append(path)
+    stats.update(prepare_write_s=t1 - t0, delta_files=len(listing),
+                 delta_bytes=sum(listing.values()))
+    if not inputs:
         return []
-    stats["delta_bytes"] = fsh.du(delta_dir)
     merge = make_delta_merger(
-        cfg.lake_dir, epoch, committed, delta_dir,
+        cfg.lake_dir, epoch, inputs,
         extract_missing_text=cfg.extract_text, view_specs=cfg.views,
     )
-    pid_ds = rd.from_items([{"pid": p} for p in pids], override_num_blocks=len(pids))
+    pid_ds = rd.from_items([{"pid": p} for p in sorted(inputs)], override_num_blocks=len(inputs))
     entries = pid_ds.map_batches(merge, batch_format="numpy", batch_size=1).take_all()
+    stats["merge_s"] = time.perf_counter() - t1
     fsh.rmtree(delta_dir)
     return entries
 
@@ -367,12 +382,15 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
         epoch += 1
         t0 = time.perf_counter()
         ds = _prepared_ds(source, lo, hi, cfg)
+        # per-phase seconds and delta counts; an epoch with nothing to
+        # write keeps the zeros
+        phases = {"scan_s": time.perf_counter() - t0, "prepare_write_s": 0.0,
+                  "merge_s": 0.0, "delta_bytes": 0, "delta_files": 0}
         committed = {
             int(pid): man.partition_file(int(pid)) for pid in man.partitions
         }
-        ex_stats: dict = {}
         entries = [] if ds is None else _write_and_merge(
-            ds, cfg, epoch, committed, ex_stats)
+            ds, cfg, epoch, committed, phases)
         wall = time.perf_counter() - t0
         if entries:
             sch = schema_from_json(entries[0]["schema_json"])
@@ -384,6 +402,7 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
             # (with no partition entries) so the watermark advances — else a
             # tail/rerun would reprocess the empty range forever
             schema_json = man.schema_json or ""
+        t_commit = time.perf_counter()
         man.commit_epoch(
             epoch,
             lsn_lo=lo,
@@ -392,7 +411,9 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
             schema_json=schema_json,
             wall_s=wall,
             retain_history=cfg.retain_history,
+            phases=phases,
         )
+        commit_s = time.perf_counter() - t_commit
         # events consumed from the WAL this epoch = the offset span advanced;
         # per-partition entry counts are post-combiner applied rows.
         n_events = hi - lo
@@ -412,7 +433,8 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
             "applied": n_applied,
             "wall_s": wall,
             "events_per_sec": n_events / wall if wall > 0 else 0.0,
-            **ex_stats,  # delta_bytes: the delta files' byte volume
+            **phases,
+            "commit_s": commit_s,
         })
         lo = hi
     res.wall_s = time.perf_counter() - t_total

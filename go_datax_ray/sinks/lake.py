@@ -23,14 +23,16 @@ so retried tasks (deterministic bytes, same path) are harmless and NO
 rename is needed on data files — the data plane is S3-compatible.
 
 The merge runs as one task per partition id after the delta write
-(``make_delta_merger``): each task reads only its partition's delta
-files and committed file. At 100 TB scale the per-partition rewrite
-amortises because P is sized so a partition is a few GB (copy-on-write upsert, Hudi/Delta-style);
-the hot path stays vectorised Arrow end-to-end.
+(``make_delta_merger``), on the exact files the driver names: no task
+lists or probes the store, and a missing input fails loudly. At 100 TB
+scale the per-partition rewrite amortises because P is sized so a
+partition is a few GB (copy-on-write upsert, Hudi/Delta-style); the hot
+path stays vectorised Arrow end-to-end.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from typing import Callable
 
@@ -42,6 +44,9 @@ from ..stages.lww import lww_indices
 from ..state.fs import LakeFS
 from ..state.manifest import final_path
 
+# Readable manifest spellings of the common column types. Any other
+# Arrow type is spelled as its one-field Arrow IPC schema in base64,
+# which round-trips every type exactly (decimals, lists, tz, units).
 _TYPE_TO_STR = {
     pa.int64(): "int64",
     pa.int32(): "int32",
@@ -54,14 +59,30 @@ _TYPE_TO_STR = {
     pa.timestamp("us"): "timestamp_us",
 }
 _STR_TO_TYPE = {v: k for k, v in _TYPE_TO_STR.items()}
+_IPC_PREFIX = "arrow-ipc-base64:"
+
+
+def _type_to_str(t: pa.DataType) -> str:
+    s = _TYPE_TO_STR.get(t)
+    if s is None:
+        ipc = pa.schema([pa.field("t", t)]).serialize().to_pybytes()
+        s = _IPC_PREFIX + base64.b64encode(ipc).decode()
+    return s
+
+
+def _type_from_str(s: str) -> pa.DataType:
+    if s.startswith(_IPC_PREFIX):
+        ipc = base64.b64decode(s[len(_IPC_PREFIX):])
+        return pa.ipc.read_schema(pa.py_buffer(ipc)).field(0).type
+    return _STR_TO_TYPE[s]
 
 
 def schema_to_json(schema: pa.Schema) -> str:
-    return json.dumps([[f.name, _TYPE_TO_STR[f.type]] for f in schema])
+    return json.dumps([[f.name, _type_to_str(f.type)] for f in schema])
 
 
 def schema_from_json(s: str) -> pa.Schema:
-    return pa.schema([pa.field(n, _STR_TO_TYPE[t]) for n, t in json.loads(s)])
+    return pa.schema([pa.field(n, _type_from_str(t)) for n, t in json.loads(s)])
 
 
 def _fill_text(t: pa.Table) -> pa.Table:
@@ -106,8 +127,7 @@ ENTRY_SCHEMA = pa.schema([
 def make_delta_merger(
     lake_dir: str,
     epoch: int,
-    committed: dict[int, str],
-    delta_dir: str,
+    inputs: dict[int, tuple[str | None, list[str]]],
     extract_missing_text: bool = False,
     view_specs: tuple = (),
 ) -> Callable[[dict], pa.Table]:
@@ -119,15 +139,14 @@ def make_delta_merger(
     Duplicate delta rows from retried upstream write tasks are harmless —
     LWW collapses them (idempotent reduction).
 
-    ``committed`` is the driver's manifest snapshot (pid -> absolute file
-    path) — a small dict captured in the task closure, shipped once per
-    task, never per batch."""
+    ``inputs`` maps each pid to ``(committed file or None, delta files
+    in path order)``, from the driver's manifest snapshot and its one
+    listing of the delta files: a small dict captured in the task
+    closure, shipped once per task. A failed merge names its epoch,
+    partition and files."""
 
-    def merge_pid(fsh, pid: int, files: list[str]) -> dict:
-        old_path = committed.get(pid)
-        old = None
-        if old_path is not None and fsh.exists(old_path):
-            old = fsh.read_parquet(old_path)  # small: committed winners
+    def merge_pid(fsh, pid: int, old_path: str | None, files: list[str]) -> dict:
+        old = fsh.read_parquet(old_path) if old_path is not None else None
         parts = [fsh.read_parquet(f) for f in files]
         target = parts[0].schema
         for p in parts[1:]:
@@ -172,9 +191,15 @@ def make_delta_merger(
         out: list[dict] = []
         for pid in batch["pid"]:
             pid = int(pid)
-            files = fsh.glob(f"{delta_dir}/part_id={pid}/*.parquet")
-            if files:
-                out.append(merge_pid(fsh, pid, files))
+            old_path, files = inputs[pid]
+            try:
+                out.append(merge_pid(fsh, pid, old_path, files))
+            except Exception as e:
+                raise RuntimeError(
+                    f"merge of epoch {epoch} partition {pid} failed "
+                    f"(committed file {old_path}, delta files {files}): "
+                    f"{type(e).__name__}: {e}"
+                ) from e
         return pa.Table.from_pylist(out, schema=ENTRY_SCHEMA)
 
     return merge_pids

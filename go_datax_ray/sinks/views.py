@@ -115,6 +115,14 @@ def view_delta_path(lake_dir: str, spec_name: str, epoch: int, pid: int) -> str:
     )
 
 
+def clear_view_deltas(fsh: LakeFS, epoch: int) -> None:
+    """Remove every view's deltas of ``epoch``, before the epoch (re)runs.
+    ``write_view_deltas`` writes no file for an empty delta, so a retry
+    would otherwise leave a crashed attempt's stale delta in place."""
+    for f in fsh.glob(fsh.join(VIEWS_DIR, "*", f"delta-e{epoch:06d}-p*.parquet")):
+        fsh.remove(f)
+
+
 def write_view_deltas(
     fsh: LakeFS,
     lake_dir: str,

@@ -109,12 +109,10 @@ class LakeFS:
     def glob(self, pattern: str) -> list[str]:
         return sorted(self.fs.glob(pattern))
 
-    def du(self, p: str) -> int:
-        """Total bytes of the files under ``p`` (0 when it is missing)."""
-        try:
-            return int(self.fs.du(p))
-        except FileNotFoundError:
-            return 0
+    def find(self, p: str) -> dict[str, int]:
+        """Every file under ``p`` -> its bytes, in path order (empty when
+        ``p`` is missing): one recursive listing, no per-file stat."""
+        return {k: int(v["size"]) for k, v in self.fs.find(p, detail=True).items()}
 
     def listdir(self, p: str) -> list[str]:
         return sorted(posixpath.basename(x.rstrip("/")) for x in self.fs.ls(p, detail=False))

@@ -178,10 +178,15 @@ class Manifest:
         schema_json: str,
         wall_s: float,
         retain_history: bool = False,
+        phases: dict[str, Any] | None = None,
     ) -> bool:
         """Atomically publish one epoch. ``entries`` rows come from the merge
-        stage: {pid, rows, events, max_lsn}. Returns False (no-op) if the
-        epoch is already committed — the idempotent-replay guarantee."""
+        stage: {pid, rows, events, max_lsn}. ``phases`` (the replay's
+        per-phase seconds and delta counts) is stored in the commit record
+        next to ``wall_s``; like it, it is per-attempt telemetry outside
+        the record's identity (``_stable_fields``). Returns False (no-op)
+        if the epoch is already committed — the idempotent-replay
+        guarantee."""
         if epoch <= self.epoch:
             return False
         old_files: list[str] = []
@@ -216,6 +221,7 @@ class Manifest:
             "lsn_hi": lsn_hi,
             "committed_at": time.time(),
             "wall_s": wall_s,
+            **(phases or {}),
             "events": events_total,
             "events_per_sec": events_total / wall_s if wall_s > 0 else None,
             "partitions": {
@@ -250,7 +256,8 @@ class Manifest:
     @staticmethod
     def _stable_fields(rec: dict[str, Any]) -> dict[str, Any]:
         """The deterministic identity of a commit record — everything but
-        the per-attempt timing fields (committed_at/wall_s/events_per_sec)."""
+        the per-attempt timing fields (committed_at, wall_s, the phase
+        fields, events_per_sec)."""
         return {
             "epoch": rec["epoch"],
             "lsn_lo": rec["lsn_lo"],
@@ -366,14 +373,13 @@ class Manifest:
             for ent in rec["partitions"].values():
                 referenced.add(ent["file"])
         removed = 0
-        for pid_s in list(self.partitions) + [
-            str(p) for p in range(self.num_partitions)
-        ]:
-            pdir = self.fsh.join(f"part-{int(pid_s):05d}")
+        pids = {int(p) for p in self.partitions} | set(range(self.num_partitions))
+        for pid in sorted(pids):
+            pdir = self.fsh.join(f"part-{pid:05d}")
             if not self.fsh.isdir(pdir):
                 continue
             for name in self.fsh.listdir(pdir):
-                rel = f"part-{int(pid_s):05d}/{name}"
+                rel = f"part-{pid:05d}/{name}"
                 if name.endswith(".parquet") and rel not in referenced:
                     try:
                         self.fsh.remove(self.fsh.join(rel))

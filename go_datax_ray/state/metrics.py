@@ -98,15 +98,6 @@ def table_to_ipc(t) -> bytes:
     return sink.getvalue()
 
 
-def ipc_to_table(b: bytes):
-    import io
-
-    import pyarrow as pa
-
-    with pa.ipc.open_stream(io.BytesIO(b)) as r:
-        return r.read_all()
-
-
 class ErrorLimitExceeded(RuntimeError):
     pass
 

@@ -141,3 +141,40 @@ def test_repeated_crashes_converge(ray_session, tmp_path, monkeypatch,
     got = _final(lake)
     assert got.equals(expected)
     assert [rec["epoch"] for rec in man.lineage()] == [0, 1, 2, 3, 4]
+
+
+def _lake_with_committed_pid0(tmp_path):
+    """P=2 lake after 1000 synth events: (lake, committed file of pid 0)."""
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_dir=lake, num_partitions=2, epoch_size=1000)
+    replay(SynthEventSource(1000, SynthConfig(seed=3)), cfg)
+    return lake, cfg, Manifest.load(lake).partition_file(0)
+
+
+def _merge_error(lake, cfg, path) -> str:
+    """Replay the 100-event tail, which must fail in the merge of pid 0;
+    returns the error text. The manifest must not have moved."""
+    with pytest.raises(Exception) as ei:
+        replay(SynthEventSource(1100, SynthConfig(seed=3)), cfg)
+    man = Manifest.load(lake)
+    assert man.epoch == 0 and man.partition_file(0) == path
+    return str(ei.value)
+
+
+def test_missing_committed_file_fails_the_merge(ray_session, tmp_path):
+    """A committed partition file that has gone missing is an error, not
+    an empty partition: reading it as empty would drop its rows."""
+    import os
+
+    lake, cfg, path = _lake_with_committed_pid0(tmp_path)
+    os.remove(path)
+    msg = _merge_error(lake, cfg, path)
+    assert "epoch 1 partition 0" in msg and path in msg
+
+
+def test_corrupt_committed_file_error_names_epoch_partition_file(ray_session, tmp_path):
+    lake, cfg, path = _lake_with_committed_pid0(tmp_path)
+    with open(path, "wb") as f:
+        f.write(b"not a parquet file" * 10)
+    msg = _merge_error(lake, cfg, path)
+    assert "epoch 1 partition 0" in msg and path in msg

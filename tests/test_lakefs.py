@@ -54,11 +54,13 @@ def test_glob_and_listdir_agree(fsh):
     assert fsh.glob(fsh.join("d", "*.csv")) == []
 
 
-def test_du_counts_written_bytes(fsh):
+def test_find_lists_files_with_sizes(fsh):
     _write(fsh, "d/x.bin", b"a" * 1000)
     _write(fsh, "d/sub/y.bin", b"b" * 234)
-    assert fsh.du(fsh.join("d")) == 1234
-    assert fsh.du(fsh.join("missing")) == 0
+    found = fsh.find(fsh.join("d"))
+    assert found == {fsh.join("d", "sub", "y.bin"): 234, fsh.join("d", "x.bin"): 1000}
+    assert list(found) == sorted(found)
+    assert fsh.find(fsh.join("missing")) == {}
 
 
 def test_rmtree_exists_isdir(fsh):

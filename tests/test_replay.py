@@ -414,3 +414,74 @@ def test_synth_source_replays_on_one_cpu(tmp_path):
         pytest.fail("2000-event SynthEventSource replay hung at num_cpus=1")
     assert proc.returncode == 0, err[-2000:]
     assert "events 2000" in out
+
+
+def test_epoch_phase_fields(tmp_path, capsys):
+    """Each epoch reports its phase seconds and delta counts; the commit
+    record stores all but ``commit_s`` and ``lake_cli lineage`` prints
+    them."""
+    import json
+
+    from go_datax_ray import lake_cli
+
+    lake = str(tmp_path / "lake")
+    res = _run(tmp_path / "lake", epoch_size=1500)
+    stored = ("scan_s", "prepare_write_s", "merge_s", "delta_bytes", "delta_files")
+    for st in res.epoch_stats:
+        assert set(st) == {"epoch", "lsn_lo", "lsn_hi", "events", "applied",
+                           "wall_s", "events_per_sec", *stored, "commit_s"}
+        assert all(st[k] >= 0 for k in (*stored, "commit_s"))
+        assert st["scan_s"] + st["prepare_write_s"] + st["merge_s"] <= st["wall_s"]
+        assert st["delta_files"] > 0 and st["delta_bytes"] > 0
+    assert lake_cli.main(["lineage", lake]) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(recs) == len(res.epoch_stats)
+    for rec, st in zip(recs, res.epoch_stats):
+        assert {k: rec[k] for k in (*stored, "wall_s")} == {
+            k: st[k] for k in (*stored, "wall_s")}
+        assert "commit_s" not in rec
+
+
+def test_upsert_of_any_arrow_column_types(tmp_path):
+    """Columns outside the manifest's readable type spellings (float32,
+    date32, int16, ...) commit and read back through read_lake."""
+    import datetime
+    import ray.data as rd
+
+    from go_datax_ray.sinks.parquet import write
+
+    t = pa.table({
+        "k": ["a", "b", "c"],
+        "f32": pa.array([1.5, 2.5, None], pa.float32()),
+        "d": pa.array([datetime.date(2024, 1, i) for i in (1, 2, 3)], pa.date32()),
+        "i16": pa.array([1, -2, 3], pa.int16()),
+    })
+    lake = str(tmp_path / "lake")
+    write(rd.from_arrow(t), {"path": lake, "writeMode": "upsert",
+                             "primaryKey": "k", "numPartitions": 2})
+    got = pa.concat_tables(read_lake(lake).iter_batches(batch_format="pyarrow")).sort_by("k")
+    assert got.select(t.column_names).equals(t)
+    assert got.schema.field("f32").type == pa.float32()
+
+
+def test_schema_json_round_trips_and_loads_legacy_spellings():
+    import json
+
+    from go_datax_ray.sinks.lake import schema_from_json, schema_to_json
+
+    legacy = json.dumps([["url", "string"], ["lsn", "int64"], ["n", "int32"],
+                         ["warc_ts", "timestamp_us"], ["x", "float64"],
+                         ["ok", "bool"], ["html", "large_string"],
+                         ["b", "binary"], ["lb", "large_binary"]])
+    assert schema_from_json(legacy) == pa.schema([
+        ("url", pa.string()), ("lsn", pa.int64()), ("n", pa.int32()),
+        ("warc_ts", pa.timestamp("us")), ("x", pa.float64()),
+        ("ok", pa.bool_()), ("html", pa.large_string()),
+        ("b", pa.binary()), ("lb", pa.large_binary())])
+    assert schema_to_json(schema_from_json(legacy)) == legacy
+    exotic = pa.schema([
+        ("f32", pa.float32()), ("d", pa.date32()), ("i16", pa.int16()),
+        ("ts_ms", pa.timestamp("ms")), ("ts_tz", pa.timestamp("us", tz="UTC")),
+        ("dec", pa.decimal128(12, 3)), ("tags", pa.list_(pa.string())),
+    ])
+    assert schema_from_json(schema_to_json(exotic)) == exotic

@@ -190,3 +190,33 @@ def test_two_views_same_replay(tmp_path):
     assert "D" not in set(v2.column("op").to_pylist())
     total = sum(v2.column("n").to_pylist())
     assert total == sum(n for n, _ in _recompute(lake).values())
+
+
+def test_crashed_attempt_view_delta_cleared_on_retry(tmp_path, monkeypatch):
+    """A crashed epoch attempt's view delta must not survive a retry whose
+    delta for that partition nets to zero (and so writes no file)."""
+    import pytest
+    import ray.data as rd
+
+    from go_datax_ray.pipelines.cdc_replay import DatasetEventSource
+    from go_datax_ray.state.manifest import Manifest
+
+    spec = ViewSpec(name="by_lang", group_cols=("lang",))
+    events = pa.table({
+        "url": ["b", "b"], "lsn": pa.array([0, 1], pa.int64()),
+        "warc_ts": pa.array([0, 0], pa.timestamp("us")),
+        "op": ["I", "D"], "lang": ["de", None],
+    })
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_dir=lake, num_partitions=1, views=(spec,))
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash before commit")
+
+    monkeypatch.setattr(Manifest, "commit_epoch", crash)
+    with pytest.raises(RuntimeError, match="crash before commit"):
+        replay(DatasetEventSource(rd.from_arrow(events), 0, 1), cfg)
+    monkeypatch.undo()
+    replay(DatasetEventSource(rd.from_arrow(events), 0, 2), cfg)
+    assert read_lake_table(lake).num_rows == 0
+    assert read_view(lake, spec).num_rows == 0

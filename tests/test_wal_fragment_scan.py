@@ -85,12 +85,12 @@ def test_oversize_row_groups_get_one_prepare_task_each(ray_session, tmp_path,
     delta_lsns = []
     real_merger = cdc_replay.make_delta_merger
 
-    def merger(lake_dir, epoch, committed, delta_dir, **kw):
+    def merger(lake_dir, epoch, inputs, **kw):
         fsh = LakeFS(lake_dir)
-        for f in fsh.glob(f"{delta_dir}/part_id=0/*.parquet"):
+        for f in inputs[0][1]:
             lsn = fsh.read_parquet(f, columns=["lsn"]).column("lsn")
             delta_lsns.append((pa.compute.min(lsn).as_py(), pa.compute.max(lsn).as_py()))
-        return real_merger(lake_dir, epoch, committed, delta_dir, **kw)
+        return real_merger(lake_dir, epoch, inputs, **kw)
 
     monkeypatch.setattr(cdc_replay, "make_delta_merger", merger)
     res = replay(ParquetWalSource(str(wal), 0, 4 * seg),
