@@ -10,8 +10,8 @@ pipeline per epoch:
       .map_batches(prepare)                  # transform, drop text,
                                              # add_part_id, LWW combine
       .write_parquet(partition_cols=[part_id])   # per-partition deltas
-    -> one merge task per partition id       # committed file + deltas,
-                                             # from one driver listing
+    -> one merge task per CPU, each over a   # committed file + deltas,
+       run of sorted partition ids           # from one listing of them
     -> driver commits the epoch atomically (manifest + rename)
 
 ``ParquetWalSource`` plans the epoch from its segment footers
@@ -59,6 +59,13 @@ _COMBINE_MIN_REDUCTION = 0.05
 # partition), so larger blocks give fewer, larger delta files and bound
 # the merge's per-file open cost. 32k rows x ~4 KB pages ~ 128 MB.
 _PREPARE_ROWS = 32768
+# Ray Data reserves object store for each task it has not measured yet
+# at target_max_block_size (128 MiB by default) per pending output
+# block, so under a small store it launched one merge task and held the
+# rest until that one finished (BASELINE.md §4e). Merge tasks return
+# only ENTRY_SCHEMA rows, so the merge Dataset's own context gets 1 MiB
+# and every task starts at once.
+_MERGE_TARGET_BLOCK_BYTES = 1 << 20
 
 
 class EventSource(Protocol):
@@ -301,10 +308,14 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
                      committed: dict[int, str], stats: dict) -> list[dict]:
     """The delta exchange: write the prepared events into per-partition
     delta files (``write_parquet(partition_cols=[part_id])``), list them
-    once, then merge each partition in its own task from its exact files
-    (write-then-compact, no shuffle operator). Returns the manifest entry
-    rows; ``stats`` receives the phase seconds ``prepare_write_s`` and
-    ``merge_s`` and the listing's ``delta_files`` and ``delta_bytes``."""
+    once, then merge every partition from its exact files
+    (write-then-compact, no shuffle operator): one task per CPU, each
+    over a contiguous run of sorted partition ids, all launched together.
+    Returns the manifest entry rows in pid order; ``stats`` receives the
+    phase seconds ``prepare_write_s`` and ``merge_s`` and the listing's
+    ``delta_files`` and ``delta_bytes``. The listed delta files are
+    deleted afterwards."""
+    import ray
     import ray.data as rd
 
     fsh = LakeFS(cfg.lake_dir)
@@ -323,16 +334,22 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
         inputs.setdefault(pid, (committed.get(pid), []))[1].append(path)
     stats.update(prepare_write_s=t1 - t0, delta_files=len(listing),
                  delta_bytes=sum(listing.values()))
-    if not inputs:
-        return []
-    merge = make_delta_merger(
-        cfg.lake_dir, epoch, inputs,
-        extract_missing_text=cfg.extract_text, view_specs=cfg.views,
-    )
-    pid_ds = rd.from_items([{"pid": p} for p in sorted(inputs)], override_num_blocks=len(inputs))
-    entries = pid_ds.map_batches(merge, batch_format="numpy", batch_size=1).take_all()
-    stats["merge_s"] = time.perf_counter() - t1
-    fsh.rmtree(delta_dir)
+    entries: list[dict] = []
+    if inputs:
+        merge = make_delta_merger(
+            cfg.lake_dir, epoch, inputs,
+            extract_missing_text=cfg.extract_text, view_specs=cfg.views,
+        )
+        n = min(len(inputs), int(ray.cluster_resources()["CPU"]))
+        merged = rd.from_items(
+            [{"pid": p} for p in sorted(inputs)], override_num_blocks=n
+        ).map_batches(merge, batch_format="numpy", batch_size=None)
+        merged.context.target_max_block_size = _MERGE_TARGET_BLOCK_BYTES
+        # take_all yields rows in task completion order; pid order makes
+        # the manifest and commit record bytes deterministic
+        entries = sorted(merged.take_all(), key=lambda e: int(e["pid"]))
+        stats["merge_s"] = time.perf_counter() - t1
+    fsh.remove_listed(delta_dir, listing)
     return entries
 
 

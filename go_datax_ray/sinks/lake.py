@@ -22,9 +22,10 @@ written epoch file is invisible garbage until the manifest points at it,
 so retried tasks (deterministic bytes, same path) are harmless and NO
 rename is needed on data files — the data plane is S3-compatible.
 
-The merge runs as one task per partition id after the delta write
-(``make_delta_merger``), on the exact files the driver names: no task
-lists or probes the store, and a missing input fails loudly. At 100 TB
+The merge runs after the delta write (``make_delta_merger``): one
+task per CPU, each merging a run of partition ids one after another,
+on the exact files the replay listed: no task lists or probes the
+store, and a missing input fails loudly. At 100 TB
 scale the per-partition rewrite amortises because P is sized so a
 partition is a few GB (copy-on-write upsert, Hudi/Delta-style); the hot
 path stays vectorised Arrow end-to-end.

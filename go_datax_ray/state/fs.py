@@ -34,7 +34,7 @@ from __future__ import annotations
 import contextlib
 import os
 import posixpath
-from typing import Any
+from typing import Any, Iterable
 
 import fsspec
 import pyarrow.fs
@@ -123,6 +123,22 @@ class LakeFS:
     def rmtree(self, p: str) -> None:
         if self.fs.exists(p):
             self.fs.rm(p, recursive=True)
+
+    def remove_listed(self, top: str, files: Iterable[str]) -> None:
+        """Delete the files a ``find(top)`` returned, then the directories
+        that held them and ``top``, deepest first, without listing or
+        probing again. Object stores have no directories (``rmdir`` does
+        nothing on ``BotoS3FileSystem``), so they get one DELETE per file
+        and nothing more."""
+        files = list(files)
+        for f in files:
+            self.fs.rm_file(f)
+        # WebHDFS has no rmdir of its own; its non-recursive DELETE
+        # removes an empty directory and refuses a full one
+        rmdir = self.fs.rm if "webhdfs" in self.fs.protocol else self.fs.rmdir
+        for d in sorted({posixpath.dirname(f) for f in files} | {top}, reverse=True):
+            with contextlib.suppress(FileNotFoundError):
+                rmdir(d)
 
     def replace(self, src: str, dst: str) -> None:
         """Atomic swap locally; mv on remote (copy+delete on object

@@ -29,6 +29,7 @@ multipart upload is aborted and the final PUT is skipped.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Any
 
@@ -100,6 +101,36 @@ class BotoS3FileSystem(AbstractFileSystem):
             # not a prefix — a literal object, or nothing
             return [self.info(path)] if detail else [f"{bucket}/{key}"]
         return out if detail else sorted(o["name"] for o in out)
+
+    def find(self, path: str, maxdepth=None, withdirs: bool = False,
+             detail: bool = False, **kwargs: Any):
+        """Every object under ``path``, as fsspec's ``find`` returns them
+        (names sorted; ``{name: info}`` with ``detail``), from one
+        paginated listing of the prefix without a delimiter instead of
+        one listing per directory."""
+        if maxdepth is not None or withdirs:
+            return super().find(path, maxdepth=maxdepth, withdirs=withdirs,
+                                detail=detail, **kwargs)
+        bucket, key = self._split(path)
+        prefix = key.rstrip("/") + "/" if key else ""
+        out: dict[str, dict] = {}
+        pages = self._client.get_paginator("list_objects_v2").paginate(
+            Bucket=bucket, Prefix=prefix
+        )
+        for page in pages:
+            for obj in page.get("Contents", ()):
+                if obj["Key"].endswith("/"):  # zero-byte "directory marker"
+                    continue
+                name = f"{bucket}/{obj['Key']}"
+                out[name] = {"name": name, "size": obj["Size"], "type": "file",
+                             "mtime": obj.get("LastModified")}
+        if not out and key:  # not a prefix: a literal object, or nothing
+            with contextlib.suppress(FileNotFoundError):
+                inf = self.info(path)
+                if inf["type"] == "file":
+                    out[inf["name"]] = inf
+        names = sorted(out)
+        return {n: out[n] for n in names} if detail else names
 
     def info(self, path: str, **kwargs: Any) -> dict:
         bucket, key = self._split(path)

@@ -178,3 +178,46 @@ def test_corrupt_committed_file_error_names_epoch_partition_file(ray_session, tm
         f.write(b"not a parquet file" * 10)
     msg = _merge_error(lake, cfg, path)
     assert "epoch 1 partition 0" in msg and path in msg
+
+
+def test_merge_error_inside_a_chunk_names_its_partition(ray_session, tmp_path, monkeypatch):
+    """The merge round runs min(P, CPUs) tasks over contiguous runs of
+    sorted pids. A corrupt committed file whose pid sits in the middle
+    of its run fails the epoch: the error names the epoch, that pid, its
+    committed file and its delta files, and no commit record is written."""
+    import os
+
+    import ray
+    import ray.data as rd
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    nparts = 3 * cpus  # every run holds 3 pids
+    runs = []
+    real_from_items = rd.from_items
+
+    def recording_from_items(items, **kwargs):
+        ds = real_from_items(items, **kwargs)
+        if items and "pid" in items[0]:
+            runs.append([b["pid"].tolist() for b in
+                         ds.iter_batches(batch_size=None, batch_format="numpy")])
+        return ds
+
+    monkeypatch.setattr(rd, "from_items", recording_from_items)
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_dir=lake, num_partitions=nparts, epoch_size=2000)
+    replay(SynthEventSource(2000, SynthConfig(seed=3)), cfg)
+    assert len(runs) == 1 and len(runs[0]) == min(nparts, cpus)
+    assert sorted(runs[0]) == [list(range(i, i + 3)) for i in range(0, nparts, 3)]
+
+    pid = sorted(runs[0])[-1][1]  # neither first nor last of its run
+    path = Manifest.load(lake).partition_file(pid)
+    with open(path, "wb") as f:
+        f.write(b"not a parquet file" * 10)
+    with pytest.raises(Exception) as ei:
+        replay(SynthEventSource(2500, SynthConfig(seed=3)), cfg)
+    msg = str(ei.value)
+    assert f"epoch 1 partition {pid} " in msg and path in msg
+    assert f"_delta/epoch-000001/part_id={pid}/" in msg
+    man = Manifest.load(lake)
+    assert man.epoch == 0 and man.partition_file(pid) == path
+    assert not os.path.exists(os.path.join(lake, "_commits", "epoch-000001.json"))

@@ -73,6 +73,17 @@ def test_rmtree_exists_isdir(fsh):
     fsh.rmtree(d)  # missing: no error
 
 
+def test_remove_listed_deletes_files_and_their_dirs(fsh):
+    for pid in (0, 1):
+        _write(fsh, f"d/part_id={pid}/x.bin", b"a")
+    keep = _write(fsh, "kept/y.bin", b"b")
+    d = fsh.join("d")
+    fsh.remove_listed(d, fsh.find(d))
+    assert fsh.find(d) == {} and not fsh.exists(d)
+    assert fsh.exists(keep)
+    fsh.remove_listed(fsh.join("missing"), {})  # nothing listed: no error
+
+
 def test_relpath_inverts_join(fsh):
     for rel in ("_manifest.json", "part-00001/part-00001-epoch-000002.parquet"):
         assert fsh.relpath(fsh.join(rel)) == rel

@@ -70,6 +70,8 @@ def test_single_epoch_matches_oracle(tmp_path, oracle):
 def test_multi_epoch_matches_oracle(tmp_path, oracle):
     _run(tmp_path / "lake", epoch_size=700)
     _assert_matches_oracle(tmp_path / "lake", oracle)
+    # each epoch deletes the delta files it listed and their directories
+    assert os.listdir(tmp_path / "lake" / "_delta") == []
 
 
 def test_rerun_is_noop(tmp_path, oracle):
@@ -206,6 +208,41 @@ def test_lineage_and_manifest(tmp_path):
             assert ent["events"] >= 0 and "file" in ent
 
 
+def test_manifest_bytes_deterministic_in_pid_order(tmp_path, monkeypatch):
+    """Merge tasks finish in any order; the manifest and the commit
+    records still list partitions in pid order, so two replays of the
+    same events write byte-identical manifests. Here the tasks holding
+    low pids are made to finish last."""
+    import json
+
+    from go_datax_ray.pipelines import cdc_replay
+
+    nparts = 8
+    real = cdc_replay.make_delta_merger
+
+    def low_pids_last(*args, **kwargs):
+        merge = real(*args, **kwargs)
+
+        def merge_late_if_low(batch):
+            import time
+
+            time.sleep(0.1 * (nparts - min(int(p) for p in batch["pid"])))
+            return merge(batch)
+
+        return merge_late_if_low
+
+    monkeypatch.setattr(cdc_replay, "make_delta_merger", low_pids_last)
+    manifests = []
+    for name in ("a", "b"):
+        _run(tmp_path / name, num_partitions=nparts, epoch_size=2000)
+        with open(tmp_path / name / "_manifest.json", "rb") as f:
+            manifests.append(f.read())
+        for rec in Manifest.load(str(tmp_path / name)).lineage():
+            assert list(rec["partitions"]) == sorted(rec["partitions"], key=int)
+    assert manifests[0] == manifests[1]
+    assert list(json.loads(manifests[0])["partitions"]) == [str(p) for p in range(nparts)]
+
+
 def test_stale_tmp_and_delta_garbage_ignored(tmp_path, oracle):
     """Crash debris — stale _tmp files, leftover _delta dirs, an alien file
     in a partition dir — must be invisible (manifest decides visibility)
@@ -243,6 +280,7 @@ def test_empty_epoch_advances_watermark(tmp_path):
     assert res.events == 1000
     man = Manifest.load(lake)
     assert man.watermark_lsn == 999  # advanced despite zero applied rows
+    assert not os.path.exists(f"{lake}/_delta/epoch-000000")
     res2 = replay(SynthEventSource(1000, CFG), cfg)
     assert res2.events == 0 and res2.epochs == 0  # no reprocessing
 

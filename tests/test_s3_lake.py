@@ -63,6 +63,8 @@ def test_s3_lake_replay_round_trip(s3_bucket, tmp_path):
     # lineage reconciles through the object store
     man = Manifest.load(uri)
     assert len(man.lineage()) == man.epoch + 1 == 3
+    # every epoch deleted the delta files it listed
+    assert man.fsh.find(man.fsh.join("_delta")) == {}
 
 
 def test_oss_reader_writer_over_s3(s3_bucket):
@@ -186,3 +188,30 @@ def test_s3_write_that_raises_publishes_nothing(s3_bucket, size):
     s3 = boto3.client("s3", endpoint_url=os.environ["AWS_ENDPOINT_URL"])
     ups = s3.list_multipart_uploads(Bucket=s3_bucket, Prefix="aborted/")
     assert ups.get("Uploads", []) == []
+
+
+def test_boto_find_is_one_prefix_listing(s3_bucket):
+    """``BotoS3FileSystem.find`` returns what fsspec's generic
+    directory walk returns, from one LIST for a 32-partition delta dir."""
+    from fsspec import AbstractFileSystem
+
+    fs = BotoS3FileSystem(skip_instance_cache=True)
+    top = f"{s3_bucket}/findtest/_delta/epoch-000001"
+    for pid in range(32):
+        fs.pipe_file(f"{top}/part_id={pid}/{pid:03d}_000000_0.parquet", b"x" * (pid + 1))
+    fs.pipe_file(f"{top}/part_id=3/sub/deeper.parquet", b"yy")
+    bucket, key = fs._split(top)
+    fs._client.put_object(Bucket=bucket, Key=f"{key}/part_id=4/", Body=b"")  # a directory marker
+    lists = []
+    fs._client.meta.events.register(
+        "before-call.s3.ListObjectsV2", lambda **kw: lists.append(1))
+    got = fs.find(top, detail=True)
+    assert len(lists) == 1
+    assert len(got) == 33 and got[f"{top}/part_id=5/005_000000_0.parquet"]["size"] == 6
+    assert got == AbstractFileSystem.find(fs, top, detail=True)
+    assert list(got) == AbstractFileSystem.find(fs, top)
+    assert fs.find(top) == list(got)
+    # a literal object and a missing path, as the generic find has them
+    one = f"{top}/part_id=7/007_000000_0.parquet"
+    assert fs.find(one, detail=True) == AbstractFileSystem.find(fs, one, detail=True)
+    assert fs.find(f"{top}/nothing") == AbstractFileSystem.find(fs, f"{top}/nothing") == []

@@ -10,6 +10,7 @@ HDFS (unlike S3's copy+delete) is namenode-atomic."""
 from __future__ import annotations
 
 import gzip
+import os
 
 import pyarrow as pa
 import ray.data as rd
@@ -101,3 +102,5 @@ def test_lake_replay_over_webhdfs(ray_session, tmp_path):
             ReplayConfig(lake_dir=uri, num_partitions=4, epoch_size=1000),
         )
         assert res2.events == 0 and res2.epochs == 0
+        # each epoch removed its delta files and their emptied directories
+        assert os.listdir(root / "lake" / "_delta") == []
