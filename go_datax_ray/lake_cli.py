@@ -11,7 +11,9 @@
     python -m go_datax_ray.lake_cli fold-view LAKE_DIR --view NAME --group-cols a,b [--sum-cols x,y]
 
 Owns its own Ray session (only for ``count``); every other command is
-pure manifest/filesystem work. LAKE_DIR may be a local path or any
+pure manifest/filesystem work. ``get`` prints the keys' live rows, one
+JSON line each, from one driver-side ``sinks.lake.lookup`` scan of the
+partitions they hash to. LAKE_DIR may be a local path or any
 fsspec URI (file://, s3://, ...).
 """
 
@@ -73,30 +75,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "get":
-        # point lookup: reads ONLY the partitions the keys hash to
-        # (Manifest.files_for_keys), never the lake — no Ray session
-        # needed, the k files read driver-side
+        # point lookup (sinks.lake.lookup): reads ONLY the partitions the
+        # keys hash to, driver-side, never the lake — no Ray session
         if not args.keys:
             p.error("get requires --keys")
-        import pyarrow as pa
-        import pyarrow.compute as pc
+        from .sinks.lake import lookup
 
-        keys = args.keys.split(",")
-        man = Manifest.load(args.lake_dir)
-        if man.key is None:
-            p.error("lake manifest predates key metadata; 'get' cannot "
-                    "determine the key column (re-commit once to backfill)")
-        tables = [man.fsh.read_parquet(f) for f in man.files_for_keys(keys)]
-        for t in tables:
-            vs = pa.array(keys)
-            if vs.type != t.column(man.key).type:
-                vs = vs.cast(t.column(man.key).type)  # int keys (ADVICE r3)
-            t = t.filter(pc.is_in(t.column(man.key), value_set=vs))
-            t = t.filter(pc.not_equal(t.column("op"), pa.scalar("D")))
-            for row in t.to_pylist():
-                row = {k: (v if not isinstance(v, bytes) else f"<{len(v)}B>")
-                       for k, v in row.items()}
-                print(json.dumps(row, default=str))
+        try:
+            t = lookup(args.lake_dir, args.keys.split(","))
+        except ValueError as e:  # manifest predates key metadata
+            p.error(str(e))
+        for row in t.to_pylist():
+            row = {k: (v if not isinstance(v, bytes) else f"<{len(v)}B>")
+                   for k, v in row.items()}
+            print(json.dumps(row, default=str))
         return 0
 
     # Every mutating command takes the same exclusive flock the replay

@@ -409,16 +409,15 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
         entries = [] if ds is None else _write_and_merge(
             ds, cfg, epoch, committed, phases)
         wall = time.perf_counter() - t0
+        # the committed schema is cumulative (readers scan every file over
+        # it); an epoch with no entries still COMMITS so the watermark
+        # advances — else a tail/rerun would reprocess it forever
+        schema_json = man.schema_json or ""
         if entries:
-            sch = schema_from_json(entries[0]["schema_json"])
-            for e in entries[1:]:
+            sch = schema_from_json(schema_json or entries[0]["schema_json"])
+            for e in entries:
                 sch = evolve(sch, schema_from_json(e["schema_json"]))
             schema_json = schema_to_json(sch)
-        else:
-            # an epoch whose events were all filtered/absent still COMMITS
-            # (with no partition entries) so the watermark advances — else a
-            # tail/rerun would reprocess the empty range forever
-            schema_json = man.schema_json or ""
         t_commit = time.perf_counter()
         man.commit_epoch(
             epoch,

@@ -29,6 +29,12 @@ store, and a missing input fails loudly. At 100 TB
 scale the per-partition rewrite amortises because P is sized so a
 partition is a few GB (copy-on-write upsert, Hudi/Delta-style); the hot
 path stays vectorised Arrow end-to-end.
+
+Reads share one plan (``_read_plan``): the manifest picks the files
+and one pyarrow filter joins ``where``, the key set and the tombstone
+filter. ``read_lake`` pushes it into one ``read_parquet`` scan;
+``lookup``, ``read_lake(keys=)`` and ``read_lake_table`` run it as one
+driver-side ``pyarrow.dataset`` scan, without a Ray Data plan.
 """
 
 from __future__ import annotations
@@ -206,6 +212,63 @@ def make_delta_merger(
     return merge_pids
 
 
+def _read_plan(lake_dir: str, *, final_state: bool = True,
+               asof_epoch: int | None = None, keys: list | None = None,
+               where: list[list] | None = None):
+    """The lake's one read plan: ``(manifest, files, committed schema,
+    filter)``, the filter being ONE pyarrow expression (or None) for the
+    scan to push down."""
+    import functools
+    import operator
+
+    from ..sources.parquet import build_filter
+    from ..state.manifest import Manifest
+
+    man = Manifest.load(lake_dir)
+    schema = schema_from_json(man.schema_json) if man.schema_json else None
+    conds = [build_filter(where, schema)] if where else []
+    if keys is not None:
+        if man.key is None:
+            raise ValueError(
+                "read_lake(keys=...): this lake's manifest predates key metadata (key column "
+                "unknown); re-commit once to backfill, or filter with where=[[col, '=', v]]")
+        # files_for_keys hashes str(k), but isin is type-strict: cast the
+        # keys to the key column's type (int keys, ADVICE r3)
+        vs = pa.array(list(keys))
+        if schema is not None and man.key in schema.names:
+            vs = vs.cast(schema.field(man.key).type)
+        conds.append(pa.compute.field(man.key).isin(vs))
+    if final_state:
+        conds.append(pa.compute.field("op") != "D")
+    if asof_epoch is not None:
+        files = man.files_asof(asof_epoch)
+    elif keys is not None:
+        files = man.files_for_keys(keys)
+    else:
+        files = man.committed_files()
+    expr = functools.reduce(operator.and_, conds) if conds else None
+    return man, files, schema, expr
+
+
+def _scan(man, files: list[str], schema: pa.Schema | None, expr,
+          columns: list[str] | None = None) -> pa.Table:
+    """A read plan as one driver-side ``pyarrow.dataset`` scan over the
+    committed schema, which null-fills columns added after a partition
+    file was written, as ``conform`` does."""
+    import pyarrow.dataset as pads
+
+    if not files:
+        return (schema or pa.schema([])).empty_table()
+    ds = pads.dataset(files, schema=schema, format="parquet", filesystem=man.fsh.pafs)
+    return ds.to_table(columns=columns, filter=expr)
+
+
+def lookup(lake_dir: str, keys: list, columns: list[str] | None = None) -> pa.Table:
+    """Point lookup without a Ray Data plan: the live rows of ``keys``,
+    read driver-side from only the hash partitions they map to."""
+    return _scan(*_read_plan(lake_dir, keys=keys), columns=columns)
+
+
 def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: bool = True,
               asof_epoch: int | None = None, keys: list | None = None,
               where: list[list] | None = None):
@@ -220,68 +283,19 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
     the read PRUNES to the partitions those keys map to — k lookups
     touch at most k of P files instead of scanning the lake (the
     data-skipping read; at 100 TB / 64k partitions a key lookup is one
-    file). An exact is_in filter then drops same-partition cohabitants.
+    file). Without ``asof_epoch`` it is ``lookup()``'s read in one block.
 
-    ``where``: ``[["col", op, value], ...]`` conjunction pushed into the
-    parquet scan (row-group statistics pruning + scan-level filtering —
-    the same triplet grammar as the parquet reader plugin). Applied
-    BEFORE the tombstone filter, so a filtered read still resolves
-    final state correctly for the rows it returns."""
+    ``where``: ``[["col", op, value], ...]`` conjunction (the parquet
+    reader plugin's triplet grammar). It, the key set and the tombstone
+    filter are one filter pushed into the one ``read_parquet`` scan
+    (row-group statistics pruning); it may name unprojected columns."""
     import ray.data as rd
 
-    from ..state.manifest import Manifest
-
-    man = Manifest.load(lake_dir)
-    files = man.files_asof(asof_epoch) if asof_epoch is not None else man.committed_files()
-    key_col = man.key
-    if keys is not None and key_col is None:
-        raise ValueError(
-            "read_lake(keys=...): this lake's manifest predates key "
-            "metadata (key column unknown); re-commit once to backfill, "
-            "or filter with where=[[col, '=', v]] instead"
-        )
-    if keys is not None and asof_epoch is None:
-        files = man.files_for_keys(keys)
-    if not files:
-        schema = schema_from_json(man.schema_json) if man.schema_json else pa.schema([])
-        return rd.from_arrow(schema.empty_table())
-    read_cols = columns
-    drop_op = False
-    if final_state and columns is not None and "op" not in columns:
-        read_cols = list(columns) + ["op"]  # needed for the tombstone filter
-        drop_op = True
-    if keys is not None and read_cols is not None and key_col not in read_cols:
-        read_cols = list(read_cols) + [key_col]
-    kw = {"filesystem": man.fsh.pafs}
-    if where:
-        from ..sources.parquet import build_filter
-
-        schema = schema_from_json(man.schema_json) if man.schema_json else None
-        kw["filter"] = build_filter(where, schema)
-    ds = rd.read_parquet(files, columns=read_cols, **kw)
-    if keys is not None:
-        key_set = pa.array(list(keys))
-
-        def _lookup(t: pa.Table) -> pa.Table:
-            # cast the value set to the key column's type: files_for_keys
-            # hashes str(k), but is_in is type-strict — int keys against a
-            # string key column would raise after pruning correctly (ADVICE r3)
-            vs = key_set
-            if vs.type != t.column(key_col).type:
-                vs = vs.cast(t.column(key_col).type)
-            t = t.filter(pa.compute.is_in(t.column(key_col), value_set=vs))
-            if columns is not None and key_col not in columns:
-                t = t.drop_columns([key_col])
-            return t
-
-        ds = ds.map_batches(_lookup, batch_format="pyarrow", zero_copy_batch=True)
-    if final_state:
-        def _final(t: pa.Table) -> pa.Table:
-            t = t.filter(pa.compute.not_equal(t.column("op"), pa.scalar("D")))
-            return t.drop_columns(["op"]) if drop_op else t
-
-        ds = ds.map_batches(_final, batch_format="pyarrow", zero_copy_batch=True)
-    return ds
+    man, files, schema, expr = _read_plan(
+        lake_dir, final_state=final_state, asof_epoch=asof_epoch, keys=keys, where=where)
+    if (keys is not None and asof_epoch is None) or not files:
+        return rd.from_arrow(_scan(man, files, schema, expr, columns))
+    return rd.read_parquet(files, columns=columns, filter=expr, filesystem=man.fsh.pafs)
 
 
 def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],
@@ -388,17 +402,5 @@ def delete_where(lake_dir: str, where: list[list], *,
 
 def read_lake_table(lake_dir: str, *, final_state: bool = True) -> pa.Table:
     """Driver-side small read of the whole lake (tests/golden checks only)."""
-    from ..state.manifest import Manifest
-
-    man = Manifest.load(lake_dir)
-    files = man.committed_files()
-    if not files:
-        return pa.schema([]).empty_table()
-    tables = [man.fsh.read_parquet(f) for f in files]
-    target = tables[0].schema
-    for tb in tables[1:]:
-        target = evolve(target, tb.schema)
-    t = pa.concat_tables([conform(tb, target) for tb in tables])
-    if final_state:
-        t = t.filter(pa.compute.not_equal(t.column("op"), pa.scalar("D")))
-    return t.sort_by([("part_id", "ascending"), ("url", "ascending")])
+    t = _scan(*_read_plan(lake_dir, final_state=final_state))
+    return t.sort_by([("part_id", "ascending"), ("url", "ascending")]) if t.num_rows else t

@@ -119,8 +119,9 @@ def clear_view_deltas(fsh: LakeFS, epoch: int) -> None:
     """Remove every view's deltas of ``epoch``, before the epoch (re)runs.
     ``write_view_deltas`` writes no file for an empty delta, so a retry
     would otherwise leave a crashed attempt's stale delta in place."""
-    for f in fsh.glob(fsh.join(VIEWS_DIR, "*", f"delta-e{epoch:06d}-p*.parquet")):
-        fsh.remove(f)
+    failed = fsh.remove_many(fsh.glob(fsh.join(VIEWS_DIR, "*", f"delta-e{epoch:06d}-p*.parquet")))
+    if failed:
+        raise OSError(f"could not clear the view deltas of epoch {epoch}: {failed}")
 
 
 def write_view_deltas(
@@ -193,19 +194,11 @@ def fold_view_deltas(lake_dir: str, spec: ViewSpec) -> dict:
     new_epoch = max(e for e, _ in deltas)
     out = f"{base_dir}/base-e{new_epoch:06d}.parquet"
     fsh.write_parquet(t, out, compression="zstd", compression_level=1)
-    removed = 0
-    for _, f in deltas:
-        try:
-            fsh.remove(f)
-            removed += 1
-        except OSError:
-            pass  # leftover delta <= base epoch is ignored by read_view
+    # best-effort: a leftover delta <= base epoch is ignored by read_view
+    folded = len(deltas) - len(fsh.remove_many(f for _, f in deltas))
     if prior is not None:
-        try:
-            fsh.remove(prior[1])
-        except OSError:
-            pass
-    return {"folded": removed, "base_epoch": new_epoch}
+        fsh.remove_many([prior[1]])
+    return {"folded": folded, "base_epoch": new_epoch}
 
 
 def read_view(lake_dir: str, spec: ViewSpec, *, asof_epoch: int | None = None) -> pa.Table:

@@ -117,8 +117,20 @@ class LakeFS:
     def listdir(self, p: str) -> list[str]:
         return sorted(posixpath.basename(x.rstrip("/")) for x in self.fs.ls(p, detail=False))
 
-    def remove(self, p: str) -> None:
-        self.fs.rm(p)
+    def remove_many(self, paths: Iterable[str]) -> list[str]:
+        """Delete the files ``paths`` (batched ``DeleteObjects`` on the boto
+        S3 filesystem, else one delete per file) and return those that
+        could not be deleted, for the caller to raise on or leave."""
+        paths = list(paths)
+        if hasattr(self.fs, "rm_files"):
+            return self.fs.rm_files(paths)
+        failed = []
+        for p in paths:
+            try:
+                self.fs.rm_file(p)
+            except OSError:
+                failed.append(p)
+        return failed
 
     def rmtree(self, p: str) -> None:
         if self.fs.exists(p):
@@ -128,11 +140,12 @@ class LakeFS:
         """Delete the files a ``find(top)`` returned, then the directories
         that held them and ``top``, deepest first, without listing or
         probing again. Object stores have no directories (``rmdir`` does
-        nothing on ``BotoS3FileSystem``), so they get one DELETE per file
-        and nothing more."""
+        nothing on ``BotoS3FileSystem``), so they get one ``DeleteObjects``
+        per 1000 files and nothing more."""
         files = list(files)
-        for f in files:
-            self.fs.rm_file(f)
+        failed = self.remove_many(files)
+        if failed:
+            raise OSError(f"could not delete {len(failed)} listed files: {failed[:5]}")
         # WebHDFS has no rmdir of its own; its non-recursive DELETE
         # removes an empty directory and refuses a full one
         rmdir = self.fs.rm if "webhdfs" in self.fs.protocol else self.fs.rmdir
@@ -234,10 +247,6 @@ class LakeFS:
         return None
 
     # -- Arrow interop ---------------------------------------------------
-    def pa_filesystem(self):
-        """pyarrow FileSystem for ray.data read/write on this fs."""
-        return self.pafs
-
     def read_parquet(self, p: str, columns: list[str] | None = None):
         return pq.read_table(p, columns=columns, filesystem=self.pafs)
 

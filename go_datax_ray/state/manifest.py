@@ -33,7 +33,6 @@ txtfile_writer.go:238-249), every name here is a pure function of
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -246,11 +245,7 @@ class Manifest:
         # — unless history retention is on (time-travel reads via the
         # commit records; GC them later with gc_history())
         if not retain_history:
-            for fpath in old_files:
-                try:
-                    self.fsh.remove(fpath)
-                except (OSError, FileNotFoundError):
-                    pass
+            self.fsh.remove_many(old_files)  # best-effort: failures are left
         return True
 
     @staticmethod
@@ -350,14 +345,8 @@ class Manifest:
                 all_files.add(ent["file"])
             if rec["epoch"] > keep_epochs_after:
                 needed.update(latest.values())
-        removed = 0
-        for rel in all_files - needed:
-            try:
-                self.fsh.remove(self.fsh.join(rel))
-                removed += 1
-            except (OSError, FileNotFoundError):
-                pass
-        return removed
+        stale = [self.fsh.join(rel) for rel in sorted(all_files - needed)]
+        return len(stale) - len(self.fsh.remove_many(stale))  # best-effort
 
     def gc_orphans(self) -> int:
         """Remove UNREFERENCED epoch data files — debris from crashed or
@@ -372,7 +361,7 @@ class Manifest:
         for rec in self.lineage():
             for ent in rec["partitions"].values():
                 referenced.add(ent["file"])
-        removed = 0
+        orphans = []
         pids = {int(p) for p in self.partitions} | set(range(self.num_partitions))
         for pid in sorted(pids):
             pdir = self.fsh.join(f"part-{pid:05d}")
@@ -381,12 +370,8 @@ class Manifest:
             for name in self.fsh.listdir(pdir):
                 rel = f"part-{pid:05d}/{name}"
                 if name.endswith(".parquet") and rel not in referenced:
-                    try:
-                        self.fsh.remove(self.fsh.join(rel))
-                        removed += 1
-                    except (OSError, FileNotFoundError):
-                        pass
-        return removed
+                    orphans.append(self.fsh.join(rel))
+        return len(orphans) - len(self.fsh.remove_many(orphans))  # best-effort
 
     def lineage(self) -> list[dict[str, Any]]:
         """Commit records in epoch order, reconciled against the manifest:

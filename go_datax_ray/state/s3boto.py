@@ -161,6 +161,22 @@ class BotoS3FileSystem(AbstractFileSystem):
 
     _rm = rm_file
 
+    def rm_files(self, paths: list[str]) -> list[str]:
+        """Delete objects with one ``DeleteObjects`` per 1000 keys (the S3
+        limit) instead of one DELETE each; returns the ``bucket/key``
+        paths the store reports as not deleted."""
+        objs: dict[str, list[dict]] = {}
+        for p in paths:
+            bucket, key = self._split(p)
+            objs.setdefault(bucket, []).append({"Key": key})
+        failed = []
+        for bucket, keys in objs.items():
+            for i in range(0, len(keys), 1000):
+                r = self._client.delete_objects(
+                    Bucket=bucket, Delete={"Objects": keys[i:i + 1000], "Quiet": True})
+                failed += [f"{bucket}/{e['Key']}" for e in r.get("Errors", ())]
+        return failed
+
     def cp_file(self, path1: str, path2: str, **kwargs: Any) -> None:
         b1, k1 = self._split(path1)
         b2, k2 = self._split(path2)

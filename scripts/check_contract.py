@@ -4,6 +4,9 @@ queries()[name](sf_dir) and compare against oracle_sql()[name] via DuckDB
 
 Usage: python scripts/check_contract.py [sf_dir] [query_name ...]
 
+An unknown query name exits 2 before Ray starts, listing the unknown
+names.
+
 Dtype equality is enforced (the driver's value hash is dtype-sensitive):
 an int64 engine column vs a float64 oracle column FAILS here, as it
 would in CORRECTNESS_r{N}.json.
@@ -44,6 +47,15 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    import __ray_entry__ as m
+
+    qs, oracles = m.queries(), m.oracle_sql()
+    unknown = sorted(only - set(qs))
+    if unknown:
+        print(f"unknown query names: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    if only:
+        qs = {k: v for k, v in qs.items() if k in only}
     import ray
 
     ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
@@ -51,15 +63,9 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as m
-
     con = duckdb.connect()
     for t in TABLES:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
-
-    qs, oracles = m.queries(), m.oracle_sql()
-    if only:
-        qs = {k: v for k, v in qs.items() if k in only}
     failures = []
     for name, fn in qs.items():
         t0 = time.perf_counter()

@@ -116,3 +116,6 @@ def test_read_lake_int_keys_cast_to_key_type(tmp_path):
     got = read_lake(lake, keys=[1, 7]).take_all()
     assert sorted({r["url"] for r in got}) == ["1", "7"]
     assert len(got) == 2  # LWW winner per url
+    from go_datax_ray.sinks.lake import lookup
+
+    assert sorted(lookup(lake, [1, 7]).column("url").to_pylist()) == ["1", "7"]

@@ -801,3 +801,19 @@ def test_python_m_module_entry(tmp_path):
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     ).stdout
     assert "Total 5 records" in out and "Error 0 records" in out
+
+
+def test_check_contract_rejects_unknown_query_names():
+    """scripts/check_contract.py exits 2 on a name that is not in
+    queries(), listing it, instead of running nothing and passing 0/0."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "scripts/check_contract.py", "no_such_sf_dir",
+         "lake_point_lookup", "q_lake_point_lookup"],
+        capture_output=True, text=True, cwd=root, timeout=120,
+    )
+    assert out.returncode == 2
+    assert "q_lake_point_lookup" in out.stderr and "0/0 passed" not in out.stdout

@@ -5,9 +5,11 @@ import os
 import posixpath
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from go_datax_ray.pipelines.cdc_replay import ReplayConfig, SynthEventSource, replay
+from go_datax_ray.sinks.lake import lookup, read_lake, read_lake_table
 from go_datax_ray.state.fs import LakeFS
 from go_datax_ray.state.manifest import Manifest
 from go_datax_ray.synth import SynthConfig
@@ -107,3 +109,48 @@ def test_relative_lake_dir_matches_absolute(ray_session, tmp_path):
     assert all(os.path.isabs(f) and os.path.exists(f) for f in r.committed_files())
     assert [rec["partitions"] for rec in r.lineage()] == [
         rec["partitions"] for rec in a.lineage()]
+
+
+def _arrow(ds) -> pa.Table:
+    import ray
+
+    # a read task whose filter kept no rows returns a schema-less block
+    return pa.concat_tables([b for b in ray.get(ds.to_arrow_refs()) if b.num_columns])
+
+
+def test_lookup_matches_full_read(fsh):
+    """``lookup`` and ``read_lake(keys=)`` return exactly the full read's
+    rows for live, tombstoned and never-seen keys, on every store; with
+    ``asof_epoch`` the keys filter that epoch's files."""
+    lake = fsh.base
+    replay(SynthEventSource(2000, SynthConfig(seed=7, n_urls=150)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000,
+                        retain_history=True))
+    raw = read_lake_table(lake, final_state=False)
+    dead = raw.filter(pc.equal(raw.column("op"), "D")).column("url")[0].as_py()
+    full = read_lake_table(lake)
+    live = full.column("url").to_pylist()[:2]
+    keys = [*live, dead, "https://never.example.org/x"]
+
+    def want(t, keys, cols=None):
+        t = t.filter(pc.is_in(t.column("url"), pa.array(keys))).sort_by("url")
+        return t.select(cols) if cols else t
+
+    assert lookup(lake, keys).sort_by("url").equals(want(full, keys))
+    assert want(full, keys).column("url").to_pylist() == sorted(live)
+    assert lookup(lake, [dead]).num_rows == 0
+    # columns= that names neither the key nor op
+    assert lookup(lake, keys, columns=["lsn", "lang"]).sort_by("lsn").equals(
+        want(full, keys, ["lsn", "lang"]).sort_by("lsn"))
+    assert _arrow(read_lake(lake, keys=keys)).sort_by("url").equals(want(full, keys))
+    # asof_epoch + keys reads epoch 0's files: a key that epoch 1
+    # rewrote comes back with its epoch-0 row
+    then = _arrow(read_lake(lake, asof_epoch=0))
+    now = dict(zip(full.column("url").to_pylist(), full.column("lsn").to_pylist()))
+    changed = next(u for u, lsn in zip(then.column("url").to_pylist(),
+                                       then.column("lsn").to_pylist())
+                   if u in now and now[u] != lsn)
+    got = _arrow(read_lake(lake, asof_epoch=0, keys=[*keys, changed],
+                           columns=["url", "lsn"])).sort_by("url")
+    assert changed in got.column("url").to_pylist()
+    assert got.equals(want(then, [*keys, changed], ["url", "lsn"]))

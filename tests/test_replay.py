@@ -342,6 +342,10 @@ def test_read_lake_point_lookup_prunes_partitions(tmp_path):
     assert [f.name for f in narrow.schema().base_schema] == ["lsn"]
     # a key the lake never saw returns 0 rows via 1 file
     assert read_lake(lake, keys=["https://nope.example/x"]).count() == 0
+    # the driver-side lookup returns the same rows, no Ray Data plan
+    from go_datax_ray.sinks.lake import lookup
+
+    assert lookup(lake, keys).sort_by("url").equals(want.sort_by("url"))
 
 
 def test_lake_cli_get_point_lookup(tmp_path, capsys):
@@ -413,6 +417,73 @@ def test_streaming_read_across_partial_evolution(tmp_path):
     # v1-era rows null-filled
     assert df["fetch_status"].notna().sum() == 1
 
+
+
+def _one_event(lsn: int, url: str, v2: bool) -> pa.Table:
+    from go_datax_ray.schema import CDC_EVENT_SCHEMA, CDC_EVENT_SCHEMA_V2
+
+    cols = {
+        "lsn": pa.array([lsn], pa.int64()),
+        "src_offset": pa.array([lsn], pa.int64()),
+        "op": pa.array(["U"], pa.string()),
+        "url": pa.array([url], pa.string()),
+        "warc_ts": pa.array([9_000_000_000_000_000], pa.timestamp("us")),
+        "html": pa.array([b"<p>x</p>"], pa.large_binary()),
+        "text": pa.array(["x"], pa.large_string()),
+        "lang": pa.array(["en"], pa.string()),
+    }
+    if v2:
+        cols["fetch_status"] = pa.array([200], pa.int64())
+    return pa.Table.from_pydict(cols, schema=CDC_EVENT_SCHEMA_V2 if v2 else CDC_EVENT_SCHEMA)
+
+
+def test_lookup_null_fills_columns_added_after_a_file(tmp_path):
+    """A v2 event adds fetch_status to one partition, then a v1 epoch
+    touches only another. The manifest schema keeps the column (before,
+    it was the union of the last epoch's files only), and lookup returns
+    it null-filled for rows of files written before it existed."""
+    import ray.data as rd
+
+    from go_datax_ray.hashing import partition_ids
+    from go_datax_ray.sinks.lake import lookup, schema_from_json
+
+    lake = str(tmp_path / "lake")
+    _run(tmp_path / "lake", n_events=2000, num_partitions=8)
+    v2_url = "https://evolved.example.org/x"
+    v1_url = next(u for u in (f"https://v1.example.org/{i}" for i in range(100))
+                  if partition_ids([u], 8)[0] != partition_ids([v2_url], 8)[0])
+    for lsn, url, v2 in ((2005, v2_url, True), (2006, v1_url, False)):
+        replay(DatasetEventSource(rd.from_arrow(_one_event(lsn, url, v2)), lsn, lsn + 1),
+               ReplayConfig(lake_dir=lake, num_partitions=8))
+    assert "fetch_status" in schema_from_json(Manifest.load(lake).schema_json).names
+    full = read_lake_table(lake)
+    old_url = full.filter(pc.is_null(full.column("fetch_status"))).column("url")[0].as_py()
+    keys = [v2_url, v1_url, old_url]
+    got = lookup(lake, keys).sort_by("url")
+    assert got.equals(full.filter(pc.is_in(full.column("url"), pa.array(keys))).sort_by("url"))
+    status = dict(zip(got.column("url").to_pylist(), got.column("fetch_status").to_pylist()))
+    assert status == {v2_url: 200, v1_url: None, old_url: None}
+
+
+def test_lookup_logs_no_schema_warning(tmp_path):
+    """A point lookup runs no Ray Data read: before, read_lake(keys=[k])
+    of a live key logged Ray Data's schema-divergence warning."""
+    import logging
+
+    lake = str(tmp_path / "lake")
+    _run(tmp_path / "lake")
+    key = read_lake_table(lake).column("url")[0].as_py()
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        rows = read_lake(lake, keys=[key]).take_all()
+    finally:
+        logger.removeHandler(handler)
+    assert [r["url"] for r in rows] == [key]
+    assert not [r for r in records if "different schema" in r.getMessage()]
 
 _ONE_CPU_REPLAY = """
 import sys

@@ -151,7 +151,7 @@ def test_s3_multipart_and_manifest_swap(s3_bucket):
     assert not fsh.exists(m + ".tmp")
     # listing and delete through the facade
     assert "big.bin" in fsh.listdir(fsh.join(""))
-    fsh.remove(p)
+    assert fsh.remove_many([p]) == []
     assert not fsh.exists(p)
 
 
@@ -215,3 +215,32 @@ def test_boto_find_is_one_prefix_listing(s3_bucket):
     one = f"{top}/part_id=7/007_000000_0.parquet"
     assert fs.find(one, detail=True) == AbstractFileSystem.find(fs, one, detail=True)
     assert fs.find(f"{top}/nothing") == AbstractFileSystem.find(fs, f"{top}/nothing") == []
+
+
+def test_remove_listed_sends_one_delete_objects(s3_bucket, monkeypatch):
+    """Removing a 33-file delta listing sends one batched
+    ``DeleteObjects`` and no single ``DeleteObject``; 1001 keys take two
+    requests; a key the store reports as not deleted is returned, and
+    ``remove_listed`` raises on it."""
+    fsh = LakeFS(f"s3://{s3_bucket}/rmtest")
+    fsh.fs = BotoS3FileSystem(skip_instance_cache=True)
+    top = fsh.join("_delta", "epoch-000001")
+    for pid in range(33):
+        fsh.fs.pipe_file(f"{top}/part_id={pid}/x.parquet", b"x")
+    calls = []
+    for op in ("DeleteObjects", "DeleteObject"):
+        fsh.fs._client.meta.events.register(
+            f"before-call.s3.{op}", lambda event_name, **kw: calls.append(event_name))
+    listing = fsh.find(top)
+    assert len(listing) == 33
+    fsh.remove_listed(top, listing)
+    assert calls == ["before-call.s3.DeleteObjects"]
+    assert fsh.find(top) == {}
+    calls.clear()
+    assert fsh.remove_many(fsh.join("gone", f"{i}.parquet") for i in range(1001)) == []
+    assert calls == ["before-call.s3.DeleteObjects"] * 2
+    monkeypatch.setattr(fsh.fs._client, "delete_objects", lambda **kw: {
+        "Errors": [{"Key": "rmtest/x", "Code": "AccessDenied"}]})
+    assert fsh.remove_many([fsh.join("x")]) == [fsh.join("x")]
+    with pytest.raises(OSError, match="rmtest/x"):
+        fsh.remove_listed(top, {fsh.join("x"): 1})
