@@ -18,6 +18,9 @@ pipeline per epoch:
 (``fragments``) and runs the same ``prepare`` inside its row-group read
 task instead (see ``_prepared_ds``).
 
+Delta files carry the lake's one Parquet encoding
+(``sinks.lake.LAKE_PARQUET_OPTS``: zstd-1, no dictionary pages).
+
 Each epoch's phases are timed (``scan_s``, ``prepare_write_s``,
 ``merge_s``, ``commit_s``) into ``ReplayResult.epoch_stats``; all but
 ``commit_s`` also go into the epoch's commit record, with the delta
@@ -39,7 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import evolve
-from ..sinks.lake import make_delta_merger, schema_from_json, schema_to_json
+from ..sinks.lake import LAKE_PARQUET_OPTS, make_delta_merger, schema_from_json, schema_to_json
 from ..sinks.views import clear_view_deltas
 from ..stages.lww import lww_combine_counted
 from ..stages.partition import add_part_id
@@ -47,10 +50,6 @@ from ..state.fs import LakeFS, writer_lock
 from ..state.manifest import Manifest
 from ..synth import SynthConfig, gen_events
 
-# Codec of the intra-epoch delta files. BASELINE.md §3g: zstd-1 writes
-# 24% fewer bytes than lz4 but is slower wall-to-wall, because on local
-# storage the delta write is encode-bound, not byte-bound.
-_DELTA_COMPRESSION = "lz4"
 # The combiner copies the whole (html-wide) batch, so batches whose
 # in-batch duplicate ratio is below this pass through uncombined; the
 # merge LWWs anyway (stages.lww).
@@ -325,7 +324,7 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
         clear_view_deltas(fsh, epoch)
     t0 = time.perf_counter()
     ds.write_parquet(delta_dir, partition_cols=["part_id"],
-                     compression=_DELTA_COMPRESSION, filesystem=fsh.pafs)
+                     filesystem=fsh.pafs, **LAKE_PARQUET_OPTS)
     t1 = time.perf_counter()
     listing = fsh.find(delta_dir)  # path order: the merge's tie-break order
     inputs: dict[int, tuple[str | None, list[str]]] = {}  # pid -> (committed, deltas)

@@ -30,11 +30,16 @@ scale the per-partition rewrite amortises because P is sized so a
 partition is a few GB (copy-on-write upsert, Hudi/Delta-style); the hot
 path stays vectorised Arrow end-to-end.
 
+Every Parquet file the lake writes (delta, partition and view files)
+has one encoding, ``LAKE_PARQUET_OPTS``: zstd level 1 without
+dictionary pages.
+
 Reads share one plan (``_read_plan``): the manifest picks the files
 and one pyarrow filter joins ``where``, the key set and the tombstone
-filter. ``read_lake`` pushes it into one ``read_parquet`` scan;
-``lookup``, ``read_lake(keys=)`` and ``read_lake_table`` run it as one
-driver-side ``pyarrow.dataset`` scan, without a Ray Data plan.
+filter, and one scan (``_scan``, a ``pyarrow.dataset`` scan over the
+committed schema) runs it. ``read_lake`` runs it per file in Ray
+tasks; ``lookup``, ``read_lake(keys=)`` and ``read_lake_table`` run it
+once on the driver, without a Ray Data plan.
 """
 
 from __future__ import annotations
@@ -114,10 +119,16 @@ def _fill_text(t: pa.Table) -> pa.Table:
                         pa.compute.replace_with_mask(text, need, vals))
 
 
-# Write options of every committed partition file: the merge, compact
-# and delete_where all write through them.
-_PARTITION_FILE_OPTS = {"compression": "zstd", "compression_level": 1,
-                        "row_group_size": 64 * 1024}
+# The encoding of every Parquet file the lake writes: delta files,
+# partition files and view files. zstd-1 without dictionary pages: html,
+# text and url are nearly all distinct values, so dictionary pages cost
+# bytes and encode CPU and save nothing (BASELINE.md §4h).
+LAKE_PARQUET_OPTS = {"compression": "zstd", "compression_level": 1,
+                     "use_dictionary": False}
+# Committed partition files (the merge, compact and delete_where) add
+# their row-group size; the delta write leaves it to Ray, which turns
+# it into write_dataset row limits.
+_PARTITION_FILE_OPTS = {**LAKE_PARQUET_OPTS, "row_group_size": 64 * 1024}
 
 
 # One row per merged partition, returned by the merge tasks to the
@@ -215,9 +226,9 @@ def make_delta_merger(
 def _read_plan(lake_dir: str, *, final_state: bool = True,
                asof_epoch: int | None = None, keys: list | None = None,
                where: list[list] | None = None):
-    """The lake's one read plan: ``(manifest, files, committed schema,
-    filter)``, the filter being ONE pyarrow expression (or None) for the
-    scan to push down."""
+    """The lake's one read plan: ``(pyarrow filesystem, files, committed
+    schema, filter)``, the filter being ONE pyarrow expression (or None)
+    for the scan to push down."""
     import functools
     import operator
 
@@ -247,19 +258,20 @@ def _read_plan(lake_dir: str, *, final_state: bool = True,
     else:
         files = man.committed_files()
     expr = functools.reduce(operator.and_, conds) if conds else None
-    return man, files, schema, expr
+    return man.fsh.pafs, files, schema, expr
 
 
-def _scan(man, files: list[str], schema: pa.Schema | None, expr,
+def _scan(pafs, files: list[str], schema: pa.Schema | None, expr,
           columns: list[str] | None = None) -> pa.Table:
-    """A read plan as one driver-side ``pyarrow.dataset`` scan over the
-    committed schema, which null-fills columns added after a partition
-    file was written, as ``conform`` does."""
+    """A read plan as one ``pyarrow.dataset`` scan over the committed
+    schema, which null-fills columns added after a partition file was
+    written, as ``conform`` does. The result has that schema, projected
+    to ``columns``, even when the filter keeps no rows."""
     import pyarrow.dataset as pads
 
     if not files:
         return (schema or pa.schema([])).empty_table()
-    ds = pads.dataset(files, schema=schema, format="parquet", filesystem=man.fsh.pafs)
+    ds = pads.dataset(files, schema=schema, format="parquet", filesystem=pafs)
     return ds.to_table(columns=columns, filter=expr)
 
 
@@ -287,15 +299,27 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
 
     ``where``: ``[["col", op, value], ...]`` conjunction (the parquet
     reader plugin's triplet grammar). It, the key set and the tombstone
-    filter are one filter pushed into the one ``read_parquet`` scan
-    (row-group statistics pruning); it may name unprojected columns."""
+    filter are one filter pushed into each file's scan (row-group
+    statistics pruning); it may name unprojected columns.
+
+    Each task scans its run of files with ``_scan``, so every block has
+    the committed schema, projected to ``columns``: Ray's own parquet
+    reader returns a 0-column block from a task whose filter kept no
+    rows, which breaks ``pa.concat_tables`` over the blocks."""
     import ray.data as rd
 
-    man, files, schema, expr = _read_plan(
+    pafs, files, schema, expr = _read_plan(
         lake_dir, final_state=final_state, asof_epoch=asof_epoch, keys=keys, where=where)
     if (keys is not None and asof_epoch is None) or not files:
-        return rd.from_arrow(_scan(man, files, schema, expr, columns))
-    return rd.read_parquet(files, columns=columns, filter=expr, filesystem=man.fsh.pafs)
+        return rd.from_arrow(_scan(pafs, files, schema, expr, columns))
+
+    def scan(batch: pa.Table):
+        for f in batch.column("file").to_pylist():
+            yield _scan(pafs, [f], schema, expr, columns)
+
+    n = min(len(files), rd.DataContext.get_current().read_op_min_num_blocks)
+    return rd.from_items([{"file": f} for f in files], override_num_blocks=n).map_batches(
+        scan, batch_format="pyarrow", batch_size=None)
 
 
 def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],

@@ -184,8 +184,11 @@ def extract_text_batch(html_arr: pa.Array | pa.ChunkedArray) -> pa.Array:
         )
     no_tags = pc.replace_substring_regex(s, pattern=r"<[^>]*>", replacement=" ")
     needs_py = pc.fill_null(pc.match_substring_regex(no_tags, _NEEDS_PY_RE), False)
+    # every whitespace run but a lone " " becomes " "; lone spaces, most
+    # of the runs between words, are already in their final form
     fast = pc.utf8_trim(
-        pc.replace_substring_regex(no_tags, pattern=r"[ \t\n\r\f\v]+", replacement=" "),
+        pc.replace_substring_regex(
+            no_tags, pattern=r"[\t\n\r\f\v][ \t\n\r\f\v]*| [ \t\n\r\f\v]+", replacement=" "),
         " ",
     )
     if not pc.any(needs_py).as_py():

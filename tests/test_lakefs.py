@@ -114,8 +114,31 @@ def test_relative_lake_dir_matches_absolute(ray_session, tmp_path):
 def _arrow(ds) -> pa.Table:
     import ray
 
-    # a read task whose filter kept no rows returns a schema-less block
-    return pa.concat_tables([b for b in ray.get(ds.to_arrow_refs()) if b.num_columns])
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def test_read_lake_blocks_share_the_committed_schema(ray_session, tmp_path):
+    """Every block of a filtered ``read_lake`` has the committed schema,
+    projected to ``columns``, also where a file's filter kept no rows,
+    so the blocks concatenate."""
+    import ray
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(2000, SynthConfig(seed=7, n_urls=150)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000,
+                        retain_history=True))
+    full = read_lake_table(lake)
+    schema, url = full.schema, full.column("url")[0].as_py()
+    for kw, names, rows in [
+        ({"where": [["url", "=", url]]}, schema.names, 1),
+        ({"asof_epoch": 0, "keys": [url]}, schema.names, 1),
+        ({"where": [["url", "=", url]], "columns": ["url", "lsn"]}, ["url", "lsn"], 1),
+        ({"where": [["lsn", ">", 10**9]]}, schema.names, 0),
+    ]:
+        blocks = ray.get(read_lake(lake, **kw).to_arrow_refs())
+        assert len(blocks) > 1, kw
+        assert all(b.schema.names == names for b in blocks), kw
+        assert pa.concat_tables(blocks).num_rows == rows, kw
 
 
 def test_lookup_matches_full_read(fsh):

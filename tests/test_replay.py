@@ -182,11 +182,21 @@ def test_extract_text_batch_equivalence():
         b"no tags at all",
         b"\xff\xfe invalid utf8 <b>x</b>",
         None,
+        b"one two three four",
+        b"tab\there\nnew\r\nline\fform \t\n\r\f mixed\t \tend",
+        b"a <b> bold </b>\t<i>\n</i> c<br/>\r\nd< x >e",
+        b" \t lead and trail \n ",
+        b" ", b"\t", b"  ", b" \n\r\f\t ",
     ]
-    arr = pa.array(cases, pa.large_binary())
-    got = extract_text_batch(arr).to_pylist()
+    rng = np.random.default_rng(0)
+    alphabet = np.frombuffer(b" \t\n\r\f<>ab", np.uint8)
+    cases += [rng.choice(alphabet, rng.integers(0, 24)).tobytes() for _ in range(500)]
     want = [None if c is None else extract_text(c) for c in cases]
-    assert got == want
+    assert extract_text_batch(pa.array(cases, pa.large_binary())).to_pylist() == want
+    # one case per batch as well: an invalid utf-8 row sends its whole
+    # batch down the per-row path, which would hide the vectorized one
+    assert [extract_text_batch(pa.array([c], pa.large_binary()))[0].as_py()
+            for c in cases] == want
 
 
 def test_lineage_and_manifest(tmp_path):
