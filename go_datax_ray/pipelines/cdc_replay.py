@@ -18,8 +18,9 @@ pipeline per epoch:
 (``fragments``) and runs the same ``prepare`` inside its row-group read
 task instead (see ``_prepared_ds``).
 
-Delta files carry the lake's one Parquet encoding
-(``sinks.lake.LAKE_PARQUET_OPTS``: zstd-1, no dictionary pages).
+Delta files are lz4 without dictionary pages (``_DELTA_PARQUET_OPTS``);
+the committed files the merge writes are zstd-1 without them
+(``sinks.lake.LAKE_PARQUET_OPTS``).
 
 Each epoch's phases are timed (``scan_s``, ``prepare_write_s``,
 ``merge_s``, ``commit_s``) into ``ReplayResult.epoch_stats``; all but
@@ -42,7 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import evolve
-from ..sinks.lake import LAKE_PARQUET_OPTS, make_delta_merger, schema_from_json, schema_to_json
+from ..sinks.lake import make_delta_merger, schema_from_json, schema_to_json
 from ..sinks.views import clear_view_deltas
 from ..stages.lww import lww_combine_counted
 from ..stages.partition import add_part_id
@@ -50,6 +51,12 @@ from ..state.fs import LakeFS, writer_lock
 from ..state.manifest import Manifest
 from ..synth import SynthConfig, gen_events
 
+# Encoding of the intra-epoch delta files, written and read once on the
+# epoch's critical path. No dictionary pages: html, text and url are
+# nearly all distinct. lz4, not the committed files' zstd-1: zstd-1 writes
+# 27% fewer delta bytes but encodes and decodes more slowly, and in
+# bench.py-shaped epochs it lengthened the replay (BASELINE.md §4h).
+_DELTA_PARQUET_OPTS = {"compression": "lz4", "use_dictionary": False}
 # The combiner copies the whole (html-wide) batch, so batches whose
 # in-batch duplicate ratio is below this pass through uncombined; the
 # merge LWWs anyway (stages.lww).
@@ -324,7 +331,7 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
         clear_view_deltas(fsh, epoch)
     t0 = time.perf_counter()
     ds.write_parquet(delta_dir, partition_cols=["part_id"],
-                     filesystem=fsh.pafs, **LAKE_PARQUET_OPTS)
+                     filesystem=fsh.pafs, **_DELTA_PARQUET_OPTS)
     t1 = time.perf_counter()
     listing = fsh.find(delta_dir)  # path order: the merge's tie-break order
     inputs: dict[int, tuple[str | None, list[str]]] = {}  # pid -> (committed, deltas)

@@ -30,16 +30,17 @@ scale the per-partition rewrite amortises because P is sized so a
 partition is a few GB (copy-on-write upsert, Hudi/Delta-style); the hot
 path stays vectorised Arrow end-to-end.
 
-Every Parquet file the lake writes (delta, partition and view files)
-has one encoding, ``LAKE_PARQUET_OPTS``: zstd level 1 without
-dictionary pages.
+Every file the lake keeps (partition and view files) has one
+encoding, ``LAKE_PARQUET_OPTS``: zstd level 1 without dictionary
+pages. Only the intra-epoch delta files, written and read once on the
+epoch's critical path, are lz4 (``cdc_replay._DELTA_PARQUET_OPTS``).
 
 Reads share one plan (``_read_plan``): the manifest picks the files
 and one pyarrow filter joins ``where``, the key set and the tombstone
-filter, and one scan (``_scan``, a ``pyarrow.dataset`` scan over the
-committed schema) runs it. ``read_lake`` runs it per file in Ray
+filter, and one scanner (``_scanner``, a ``pyarrow.dataset`` scan over
+the committed schema) runs it. ``read_lake`` streams it per file in Ray
 tasks; ``lookup``, ``read_lake(keys=)`` and ``read_lake_table`` run it
-once on the driver, without a Ray Data plan.
+once on the driver (``_scan``), without a Ray Data plan.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def _fill_text(t: pa.Table) -> pa.Table:
                         pa.compute.replace_with_mask(text, need, vals))
 
 
-# The encoding of every Parquet file the lake writes: delta files,
-# partition files and view files. zstd-1 without dictionary pages: html,
-# text and url are nearly all distinct values, so dictionary pages cost
-# bytes and encode CPU and save nothing (BASELINE.md §4h).
+# The encoding of every file the lake keeps: partition files and view
+# files. zstd-1 without dictionary pages: html, text and url are nearly
+# all distinct values, so dictionary pages cost bytes and encode CPU and
+# save nothing (BASELINE.md §4h).
 LAKE_PARQUET_OPTS = {"compression": "zstd", "compression_level": 1,
                      "use_dictionary": False}
 # Committed partition files (the merge, compact and delete_where) add
@@ -261,18 +262,41 @@ def _read_plan(lake_dir: str, *, final_state: bool = True,
     return man.fsh.pafs, files, schema, expr
 
 
-def _scan(pafs, files: list[str], schema: pa.Schema | None, expr,
-          columns: list[str] | None = None) -> pa.Table:
-    """A read plan as one ``pyarrow.dataset`` scan over the committed
+def _scanner(pafs, files: list[str], schema: pa.Schema | None, expr,
+             columns: list[str] | None = None):
+    """A read plan as one ``pyarrow.dataset`` scanner over the committed
     schema, which null-fills columns added after a partition file was
-    written, as ``conform`` does. The result has that schema, projected
-    to ``columns``, even when the filter keeps no rows."""
+    written, as ``conform`` does. Its ``projected_schema`` is that
+    schema projected to ``columns``, whatever the filter keeps."""
     import pyarrow.dataset as pads
 
+    ds = pads.dataset(files, schema=schema, format="parquet", filesystem=pafs)
+    return ds.scanner(columns=columns, filter=expr)
+
+
+def _scan(pafs, files: list[str], schema: pa.Schema | None, expr,
+          columns: list[str] | None = None) -> pa.Table:
+    """A read plan as one table of the committed schema, projected to
+    ``columns``, even when the filter keeps no rows."""
     if not files:
         return (schema or pa.schema([])).empty_table()
-    ds = pads.dataset(files, schema=schema, format="parquet", filesystem=pafs)
-    return ds.to_table(columns=columns, filter=expr)
+    return _scanner(pafs, files, schema, expr, columns).to_table()
+
+
+def _scan_batches(pafs, files: list[str], schema: pa.Schema | None, expr,
+                  columns: list[str] | None = None):
+    """A read plan streamed file by file, one record batch at a time, as
+    tables of the committed schema projected to ``columns``; one empty
+    table of that schema when the filter keeps no rows."""
+    kept = False
+    for f in files:
+        sc = _scanner(pafs, [f], schema, expr, columns)
+        for b in sc.to_batches():
+            if b.num_rows:
+                kept = True
+                yield pa.Table.from_batches([b])
+    if not kept:
+        yield sc.projected_schema.empty_table()
 
 
 def lookup(lake_dir: str, keys: list, columns: list[str] | None = None) -> pa.Table:
@@ -302,10 +326,13 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
     filter are one filter pushed into each file's scan (row-group
     statistics pruning); it may name unprojected columns.
 
-    Each task scans its run of files with ``_scan``, so every block has
-    the committed schema, projected to ``columns``: Ray's own parquet
-    reader returns a 0-column block from a task whose filter kept no
-    rows, which breaks ``pa.concat_tables`` over the blocks."""
+    One Ray task per file, as ``read_parquet`` runs for files above
+    Ray's block size. Each streams its file in record batches
+    (``_scan_batches``), so every block has the committed schema
+    projected to ``columns``; a task whose filter keeps no rows returns
+    one empty block of that schema. Ray's own parquet reader returned a
+    0-column block there, which broke ``pa.concat_tables`` over the
+    blocks."""
     import ray.data as rd
 
     pafs, files, schema, expr = _read_plan(
@@ -314,11 +341,9 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
         return rd.from_arrow(_scan(pafs, files, schema, expr, columns))
 
     def scan(batch: pa.Table):
-        for f in batch.column("file").to_pylist():
-            yield _scan(pafs, [f], schema, expr, columns)
+        return _scan_batches(pafs, batch.column("file").to_pylist(), schema, expr, columns)
 
-    n = min(len(files), rd.DataContext.get_current().read_op_min_num_blocks)
-    return rd.from_items([{"file": f} for f in files], override_num_blocks=n).map_batches(
+    return rd.from_items([{"file": f} for f in files], override_num_blocks=len(files)).map_batches(
         scan, batch_format="pyarrow", batch_size=None)
 
 

@@ -1,7 +1,7 @@
-"""Every Parquet file the lake writes has one encoding: zstd, no
-dictionary pages. Checked on the column chunks of the delta files, the
-partition files of a replay, ``compact`` and ``delete_where``, and the
-view delta and base files."""
+"""No Parquet file the lake writes has dictionary pages; the files it
+keeps are zstd and the intra-epoch delta files lz4. Checked on the
+column chunks of the delta files, the partition files of a replay,
+``compact`` and ``delete_where``, and the view delta and base files."""
 
 import glob
 import os
@@ -24,7 +24,7 @@ def _chunk_encodings(path: str) -> set[tuple[str, bool, tuple]]:
             for c in (md.row_group(rg).column(i) for i in range(md.num_columns))}
 
 
-def test_every_lake_file_is_zstd_without_dictionary(tmp_path, monkeypatch):
+def test_lake_files_have_no_dictionary_pages(tmp_path, monkeypatch):
     # keep each epoch's delta files: the replay deletes them after the merge
     monkeypatch.setattr(LakeFS, "remove_listed", lambda self, top, files: None)
     lake = str(tmp_path / "lake")
@@ -41,8 +41,9 @@ def test_every_lake_file_is_zstd_without_dictionary(tmp_path, monkeypatch):
         rel = os.path.relpath(f, lake)
         for k in kinds:
             kinds[k] += k in rel
+        codec = "LZ4" if rel.startswith("_delta") else "ZSTD"
         for compression, has_dict, encodings in _chunk_encodings(f):
-            assert compression == "ZSTD", (rel, compression)
+            assert compression == codec, (rel, compression)
             assert not has_dict, rel
             assert not {"PLAIN_DICTIONARY", "RLE_DICTIONARY"} & set(encodings), (rel, encodings)
     assert all(kinds.values()), kinds

@@ -141,6 +141,34 @@ def test_read_lake_blocks_share_the_committed_schema(ray_session, tmp_path):
         assert pa.concat_tables(blocks).num_rows == rows, kw
 
 
+def test_read_lake_streams_each_file_in_row_groups(ray_session, tmp_path):
+    """``read_lake``'s tasks stream each file one record batch at a time
+    (``_scan_batches``) instead of holding the whole filtered file, and
+    a scan whose filter keeps no rows yields one empty table of the
+    projected schema."""
+    import pyarrow.parquet as pq
+
+    from go_datax_ray.sinks.lake import _read_plan, _scan_batches
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(seed=5, n_urls=1000)),
+           ReplayConfig(lake_dir=lake, num_partitions=2, epoch_size=3000))
+    files = Manifest.load(lake).committed_files()
+    for f in files:  # the same rows, in 50-row row groups
+        pq.write_table(pq.read_table(f), f, row_group_size=50)
+    pafs, files, schema, expr = _read_plan(lake)
+    tables = list(_scan_batches(pafs, files, schema, expr))
+    assert len(tables) > len(files)
+    assert max(t.num_rows for t in tables) <= 50
+    got = pa.concat_tables(tables).sort_by("url")
+    assert got.equals(read_lake_table(lake).sort_by("url"))
+    assert _arrow(read_lake(lake)).sort_by("url").equals(got)
+
+    pafs, files, schema, expr = _read_plan(lake, where=[["lsn", ">", 10**9]])
+    (empty,) = _scan_batches(pafs, files, schema, expr, ["url", "lsn"])
+    assert empty.num_rows == 0 and empty.schema.names == ["url", "lsn"]
+
+
 def test_lookup_matches_full_read(fsh):
     """``lookup`` and ``read_lake(keys=)`` return exactly the full read's
     rows for live, tombstoned and never-seen keys, on every store; with
