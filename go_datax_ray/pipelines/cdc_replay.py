@@ -18,14 +18,17 @@ pipeline per epoch:
 (``fragments``) and runs the same ``prepare`` inside its row-group read
 task instead (see ``_prepared_ds``).
 
-Delta files are lz4 without dictionary pages (``_DELTA_PARQUET_OPTS``);
-the committed files the merge writes are zstd-1 without them
-(``sinks.lake.LAKE_PARQUET_OPTS``).
+Delta files are lz4 without dictionary pages or statistics
+(``_DELTA_PARQUET_OPTS``); the committed files the merge writes are
+zstd-1 without dictionary pages, with statistics on every column but
+the payload ones (``sinks.lake.LAKE_PARQUET_OPTS``,
+``sinks.lake.statistics_columns``).
 
 Each epoch's phases are timed (``scan_s``, ``prepare_write_s``,
 ``merge_s``, ``commit_s``) into ``ReplayResult.epoch_stats``; all but
 ``commit_s`` also go into the epoch's commit record, with the delta
-files' count and bytes.
+files' count and bytes and the partition files' bytes
+(``final_bytes``).
 
 The epoch loop is the checkpoint unit: a crash between epochs resumes
 from the manifest watermark; a crash mid-epoch replays the whole epoch,
@@ -55,8 +58,11 @@ from ..synth import SynthConfig, gen_events
 # epoch's critical path. No dictionary pages: html, text and url are
 # nearly all distinct. lz4, not the committed files' zstd-1: zstd-1 writes
 # 27% fewer delta bytes but encodes and decodes more slowly, and in
-# bench.py-shaped epochs it lengthened the replay (BASELINE.md §4h).
-_DELTA_PARQUET_OPTS = {"compression": "lz4", "use_dictionary": False}
+# bench.py-shaped epochs it lengthened the replay (BASELINE.md §4h). No
+# statistics: the merge reads each delta file whole, without a filter
+# (BASELINE.md §4i).
+_DELTA_PARQUET_OPTS = {"compression": "lz4", "use_dictionary": False,
+                       "write_statistics": False}
 # The combiner copies the whole (html-wide) batch, so batches whose
 # in-batch duplicate ratio is below this pass through uncombined; the
 # merge LWWs anyway (stages.lww).
@@ -318,9 +324,9 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
     (write-then-compact, no shuffle operator): one task per CPU, each
     over a contiguous run of sorted partition ids, all launched together.
     Returns the manifest entry rows in pid order; ``stats`` receives the
-    phase seconds ``prepare_write_s`` and ``merge_s`` and the listing's
-    ``delta_files`` and ``delta_bytes``. The listed delta files are
-    deleted afterwards."""
+    phase seconds ``prepare_write_s`` and ``merge_s``, the listing's
+    ``delta_files`` and ``delta_bytes``, and the entries' ``final_bytes``.
+    The listed delta files are deleted afterwards."""
     import ray
     import ray.data as rd
 
@@ -344,7 +350,7 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
     if inputs:
         merge = make_delta_merger(
             cfg.lake_dir, epoch, inputs,
-            extract_missing_text=cfg.extract_text, view_specs=cfg.views,
+            extract_missing_text=cfg.extract_text, view_specs=cfg.views, key=cfg.key,
         )
         n = min(len(inputs), int(ray.cluster_resources()["CPU"]))
         merged = rd.from_items(
@@ -354,7 +360,8 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
         # take_all yields rows in task completion order; pid order makes
         # the manifest and commit record bytes deterministic
         entries = sorted(merged.take_all(), key=lambda e: int(e["pid"]))
-        stats["merge_s"] = time.perf_counter() - t1
+        stats.update(merge_s=time.perf_counter() - t1,
+                     final_bytes=sum(int(e["bytes"]) for e in entries))
     fsh.remove_listed(delta_dir, listing)
     return entries
 
@@ -408,7 +415,7 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
         # per-phase seconds and delta counts; an epoch with nothing to
         # write keeps the zeros
         phases = {"scan_s": time.perf_counter() - t0, "prepare_write_s": 0.0,
-                  "merge_s": 0.0, "delta_bytes": 0, "delta_files": 0}
+                  "merge_s": 0.0, "delta_bytes": 0, "delta_files": 0, "final_bytes": 0}
         committed = {
             int(pid): man.partition_file(int(pid)) for pid in man.partitions
         }

@@ -32,8 +32,12 @@ path stays vectorised Arrow end-to-end.
 
 Every file the lake keeps (partition and view files) has one
 encoding, ``LAKE_PARQUET_OPTS``: zstd level 1 without dictionary
-pages. Only the intra-epoch delta files, written and read once on the
-epoch's critical path, are lz4 (``cdc_replay._DELTA_PARQUET_OPTS``).
+pages, with min/max statistics only where a reader can prune on them
+(``statistics_columns``): every column but the ``large_binary`` and
+``large_string`` payload columns (``html``, ``text``), and always the
+lake key. Only the intra-epoch delta files, written and read once on
+the epoch's critical path, are lz4 and carry no statistics
+(``cdc_replay._DELTA_PARQUET_OPTS``).
 
 Reads share one plan (``_read_plan``): the manifest picks the files
 and one pyarrow filter joins ``where``, the key set and the tombstone
@@ -130,6 +134,17 @@ LAKE_PARQUET_OPTS = {"compression": "zstd", "compression_level": 1,
 # their row-group size; the delta write leaves it to Ray, which turns
 # it into write_dataset row limits.
 _PARTITION_FILE_OPTS = {**LAKE_PARQUET_OPTS, "row_group_size": 64 * 1024}
+# Payload types: min/max of a whole ~1 KB html or text value, in every
+# page header and column chunk, prunes nothing a reader asks for and
+# was ~16% of a tail partition file's bytes (BASELINE.md §4i).
+_PAYLOAD_TYPES = (pa.large_binary(), pa.large_string())
+
+
+def statistics_columns(schema: pa.Schema, key: str | None = None) -> list[str]:
+    """The ``write_statistics`` columns of a kept file of ``schema``:
+    every column but the payload ones, plus ``key``, which ``lookup``
+    and ``read_lake`` prune on whatever its type."""
+    return [f.name for f in schema if f.type not in _PAYLOAD_TYPES or f.name == key]
 
 
 # One row per merged partition, returned by the merge tasks to the
@@ -140,6 +155,7 @@ ENTRY_SCHEMA = pa.schema([
     ("events", pa.int64()),
     ("max_lsn", pa.int64()),
     ("schema_json", pa.string()),
+    ("bytes", pa.int64()),
 ])
 
 
@@ -149,6 +165,7 @@ def make_delta_merger(
     inputs: dict[int, tuple[str | None, list[str]]],
     extract_missing_text: bool = False,
     view_specs: tuple = (),
+    key: str | None = None,
 ) -> Callable[[dict], pa.Table]:
     """Merge fn for the delta exchange: input batches carry partition ids;
     each pid's delta files (written by the partition-pruned
@@ -161,8 +178,10 @@ def make_delta_merger(
     ``inputs`` maps each pid to ``(committed file or None, delta files
     in path order)``, from the driver's manifest snapshot and its one
     listing of the delta files: a small dict captured in the task
-    closure, shipped once per task. A failed merge names its epoch,
-    partition and files."""
+    closure, shipped once per task. ``key`` is the lake key, whose
+    statistics the partition files keep (``statistics_columns``). Each
+    entry carries the bytes of the file written. A failed merge names
+    its epoch, partition and files."""
 
     def merge_pid(fsh, pid: int, old_path: str | None, files: list[str]) -> dict:
         old = fsh.read_parquet(old_path) if old_path is not None else None
@@ -200,10 +219,11 @@ def make_delta_merger(
             from .views import write_view_deltas
 
             write_view_deltas(fsh, lake_dir, view_specs, old, new, epoch, pid)
-        fsh.write_parquet(new, final_path(lake_dir, pid, epoch), **_PARTITION_FILE_OPTS)
+        nbytes = fsh.write_parquet(new, final_path(lake_dir, pid, epoch), **_PARTITION_FILE_OPTS,
+                                   write_statistics=statistics_columns(new.schema, key))
         return {"pid": pid, "rows": new.num_rows, "events": events,
                 "max_lsn": int(pa.compute.max(new.column("lsn")).as_py()),
-                "schema_json": schema_to_json(new.schema)}
+                "schema_json": schema_to_json(new.schema), "bytes": nbytes}
 
     def merge_pids(batch: dict) -> pa.Table:
         fsh = LakeFS(lake_dir)
@@ -353,20 +373,24 @@ def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],
     into one new epoch and commit it, returning that epoch. The epoch
     applies no events and leaves the watermark where it is; each entry
     keeps its partition's previous ``max_lsn``, since a rewritten
-    partition can end up empty."""
+    partition can end up empty. The commit record stores the bytes
+    written as ``final_bytes``, as a replay epoch's does."""
     epoch = man.epoch + 1
     entries = []
     for pid_s, ent in man.partitions.items():
         pid = int(pid_s)
         t = rewrite(man.fsh.read_parquet(man.fsh.join(ent["file"])))
-        man.fsh.write_parquet(t, final_path(man.lake_dir, pid, epoch), **_PARTITION_FILE_OPTS)
+        nbytes = man.fsh.write_parquet(t, final_path(man.lake_dir, pid, epoch),
+                                       **_PARTITION_FILE_OPTS,
+                                       write_statistics=statistics_columns(t.schema, man.key))
         entries.append({"pid": pid, "rows": t.num_rows, "events": 0,
-                        "max_lsn": ent["max_lsn"]})
+                        "max_lsn": ent["max_lsn"], "bytes": nbytes})
     if entries:
         man.commit_epoch(
             epoch, lsn_lo=man.watermark_lsn, lsn_hi=man.watermark_lsn,
             entries=entries, schema_json=man.schema_json or "", wall_s=0.0,
             retain_history=retain_history,
+            phases={"final_bytes": sum(e["bytes"] for e in entries)},
         )
     return epoch
 

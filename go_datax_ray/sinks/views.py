@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state.fs import LakeFS
-from .lake import LAKE_PARQUET_OPTS
+from .lake import LAKE_PARQUET_OPTS, statistics_columns
 
 VIEWS_DIR = "_views"
 _DELTA_RE = re.compile(r"delta-e(\d+)-p(\d+)\.parquet$")
@@ -142,7 +142,8 @@ def write_view_deltas(
         if d.num_rows == 0:
             continue
         path = view_delta_path(lake_dir, spec.name, epoch, pid)
-        fsh.write_parquet(d, path, **LAKE_PARQUET_OPTS)
+        fsh.write_parquet(d, path, **LAKE_PARQUET_OPTS,
+                          write_statistics=statistics_columns(d.schema))
 
 
 def _list_delta_files(fsh: LakeFS, base: str) -> list[tuple[int, str]]:
@@ -194,7 +195,7 @@ def fold_view_deltas(lake_dir: str, spec: ViewSpec) -> dict:
     t = _sum_deltas(parts, spec)
     new_epoch = max(e for e, _ in deltas)
     out = f"{base_dir}/base-e{new_epoch:06d}.parquet"
-    fsh.write_parquet(t, out, **LAKE_PARQUET_OPTS)
+    fsh.write_parquet(t, out, **LAKE_PARQUET_OPTS, write_statistics=statistics_columns(t.schema))
     # best-effort: a leftover delta <= base epoch is ignored by read_view
     folded = len(deltas) - len(fsh.remove_many(f for _, f in deltas))
     if prior is not None:

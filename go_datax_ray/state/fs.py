@@ -250,7 +250,11 @@ class LakeFS:
     def read_parquet(self, p: str, columns: list[str] | None = None):
         return pq.read_table(p, columns=columns, filesystem=self.pafs)
 
-    def write_parquet(self, table: Any, p: str, **kwargs: Any) -> None:
-        """Write ``table`` to ``p``, creating its parent directory."""
+    def write_parquet(self, table: Any, p: str, **kwargs: Any) -> int:
+        """Write ``table`` to ``p``, creating its parent directory, and
+        return the bytes written: the stream's position at the end, so
+        no stat or HEAD follows the write."""
         self.makedirs(posixpath.dirname(p))
-        pq.write_table(table, p, filesystem=self.pafs, **kwargs)
+        with self.pafs.open_output_stream(p, compression=None) as out:
+            pq.write_table(table, out, **kwargs)
+            return out.tell()

@@ -180,8 +180,9 @@ class Manifest:
         phases: dict[str, Any] | None = None,
     ) -> bool:
         """Atomically publish one epoch. ``entries`` rows come from the merge
-        stage: {pid, rows, events, max_lsn}. ``phases`` (the replay's
-        per-phase seconds and delta counts) is stored in the commit record
+        stage: {pid, rows, events, max_lsn}; an entry's other fields (the
+        merge's ``bytes``) stay out of the record. ``phases`` (the replay's
+        per-phase seconds and byte counts) is stored in the commit record
         next to ``wall_s``; like it, it is per-attempt telemetry outside
         the record's identity (``_stable_fields``). Returns False (no-op)
         if the epoch is already committed — the idempotent-replay

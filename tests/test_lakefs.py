@@ -46,6 +46,12 @@ def test_parquet_round_trip(fsh):
     assert fsh.read_parquet(p, columns=["lsn"]).equals(t.select(["lsn"]))
 
 
+def test_write_parquet_returns_the_bytes_written(fsh):
+    t = pa.table({"url": ["a", "b", "c"], "lsn": [3, 1, 2]})
+    p = fsh.join("d", "x.parquet")
+    assert fsh.write_parquet(t, p, compression="zstd") == fsh.find(fsh.join("d"))[p] > 0
+
+
 def test_glob_and_listdir_agree(fsh):
     for name in ("b.parquet", "a.parquet", "c.json"):
         _write(fsh, f"d/{name}", b"{}")
@@ -205,3 +211,49 @@ def test_lookup_matches_full_read(fsh):
                            columns=["url", "lsn"])).sort_by("url")
     assert changed in got.column("url").to_pylist()
     assert got.equals(want(then, [*keys, changed], ["url", "lsn"]))
+
+
+@pytest.mark.parametrize("fsh", ["plain", "s3"], indirect=True)
+def test_reads_without_payload_statistics(ray_session, fsh):
+    """The partition files keep no min/max on ``html`` and ``text``, so
+    nothing prunes on them: filtered reads on those columns, key reads
+    and time travel still return exactly the rows of a full read
+    filtered here."""
+    import pyarrow.parquet as pq
+
+    lake = fsh.base
+    replay(SynthEventSource(2000, SynthConfig(seed=9, n_urls=150)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000,
+                        extract_text=True, retain_history=True))
+    man = Manifest.load(lake)
+    md = pq.read_metadata(man.committed_files()[0], filesystem=fsh.pafs)
+    names = md.schema.names
+    rg = md.row_group(0)
+    assert not rg.column(names.index("text")).is_stats_set
+    assert not rg.column(names.index("html")).is_stats_set
+
+    full = read_lake_table(lake)
+    text, html = full.column("text")[5].as_py(), full.column("html")[7].as_py()
+    mid = sorted(full.column("text").to_pylist())[full.num_rows // 2]
+
+    def want(t, mask):
+        return t.filter(mask).sort_by("url")
+
+    for where, mask in [
+        ([["text", "=", text]], pc.equal(full.column("text"), text)),
+        ([["text", ">=", mid]], pc.greater_equal(full.column("text"), mid)),
+        ([["html", "=", html]], pc.equal(full.column("html"), pa.scalar(html, pa.large_binary()))),
+    ]:
+        expect = want(full, mask)
+        assert expect.num_rows > 0, where
+        assert _arrow(read_lake(lake, where=where)).sort_by("url").equals(expect), where
+
+    keys = full.column("url").to_pylist()[::40]
+    expect = want(full, pc.is_in(full.column("url"), pa.array(keys)))
+    assert lookup(lake, keys).sort_by("url").equals(expect)
+    assert _arrow(read_lake(lake, keys=keys)).sort_by("url").equals(expect)
+
+    then = _arrow(read_lake(lake, asof_epoch=0))
+    then_text = then.column("text")[3].as_py()
+    got = _arrow(read_lake(lake, asof_epoch=0, where=[["text", "=", then_text]]))
+    assert got.sort_by("url").equals(want(then, pc.equal(then.column("text"), then_text)))

@@ -16,7 +16,7 @@ from go_datax_ray.pipelines.cdc_replay import (
     SynthEventSource,
     replay,
 )
-from go_datax_ray.sinks.lake import read_lake, read_lake_table
+from go_datax_ray.sinks.lake import compact, read_lake, read_lake_table
 from go_datax_ray.state.manifest import Manifest
 from go_datax_ray.synth import EventGen, SynthConfig
 
@@ -536,7 +536,8 @@ def test_synth_source_replays_on_one_cpu(tmp_path):
 
 
 def test_epoch_phase_fields(tmp_path, capsys):
-    """Each epoch reports its phase seconds and delta counts; the commit
+    """Each epoch reports its phase seconds, its delta counts and the
+    bytes of the partition files it wrote (``final_bytes``); the commit
     record stores all but ``commit_s`` and ``lake_cli lineage`` prints
     them."""
     import json
@@ -544,8 +545,10 @@ def test_epoch_phase_fields(tmp_path, capsys):
     from go_datax_ray import lake_cli
 
     lake = str(tmp_path / "lake")
-    res = _run(tmp_path / "lake", epoch_size=1500)
-    stored = ("scan_s", "prepare_write_s", "merge_s", "delta_bytes", "delta_files")
+    cfg = ReplayConfig(lake_dir=lake, num_partitions=8, epoch_size=1500, retain_history=True)
+    res = replay(SynthEventSource(N_EVENTS, CFG), cfg)
+    stored = ("scan_s", "prepare_write_s", "merge_s", "delta_bytes", "delta_files",
+              "final_bytes")
     for st in res.epoch_stats:
         assert set(st) == {"epoch", "lsn_lo", "lsn_hi", "events", "applied",
                            "wall_s", "events_per_sec", *stored, "commit_s"}
@@ -559,6 +562,17 @@ def test_epoch_phase_fields(tmp_path, capsys):
         assert {k: rec[k] for k in (*stored, "wall_s")} == {
             k: st[k] for k in (*stored, "wall_s")}
         assert "commit_s" not in rec
+        # final_bytes is the size of the files the record names; the
+        # partitions map keeps its fields
+        assert rec["final_bytes"] == sum(
+            os.path.getsize(os.path.join(lake, p["file"])) for p in rec["partitions"].values())
+        assert all(set(p) == {"file", "rows", "events", "max_lsn"}
+                   for p in rec["partitions"].values())
+    # a compaction epoch records the bytes it rewrote too
+    compact(lake, retain_history=True)
+    rec = Manifest.load(lake).lineage()[-1]
+    assert rec["final_bytes"] == sum(
+        os.path.getsize(os.path.join(lake, p["file"])) for p in rec["partitions"].values())
 
 
 def test_upsert_of_any_arrow_column_types(tmp_path):
