@@ -15,6 +15,12 @@ pure manifest/filesystem work. ``get`` prints the keys' live rows, one
 JSON line each, from one driver-side ``sinks.lake.lookup`` scan of the
 partitions they hash to. LAKE_DIR may be a local path or any
 fsspec URI (file://, s3://, ...).
+
+Every command that changes the lake holds the replay's writer lock:
+``compact``, ``delete_where`` and ``fold_view_deltas`` take it
+themselves, and the CLI takes it for the gc commands, which run on a
+loaded ``Manifest``. ``delete-where`` refuses a lake with views: it
+cannot pass their ``ViewSpec``s' ``derive`` hooks.
 """
 
 from __future__ import annotations
@@ -91,34 +97,10 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(row, default=str))
         return 0
 
-    # Every mutating command takes the same exclusive flock the replay
-    # pipeline takes — gc-orphans racing an in-flight replay would delete
-    # the uncommitted epoch's freshly written merge outputs and fail its
-    # commit_epoch with FileNotFoundError (manifest.py documents gc is
-    # only safe under the writer lock). Each loads the manifest inside
-    # the lock: one loaded before it misses the epochs a replay commits
-    # in between, and gc-orphans would delete their live files.
-    from .state.fs import writer_lock
-
     if args.cmd == "compact":
         from .sinks.lake import compact
 
-        with writer_lock(args.lake_dir):
-            print(json.dumps(compact(args.lake_dir,
-                                     drop_tombstones_below_lsn=args.horizon)))
-        return 0
-
-    if args.cmd == "gc-orphans":
-        with writer_lock(args.lake_dir):
-            print(json.dumps({"removed": Manifest.load(args.lake_dir).gc_orphans()}))
-        return 0
-
-    if args.cmd == "gc-history":
-        if args.keep_after is None:
-            p.error("gc-history requires --keep-after")
-        with writer_lock(args.lake_dir):
-            man = Manifest.load(args.lake_dir)
-            print(json.dumps({"removed": man.gc_history(args.keep_after)}))
+        print(json.dumps(compact(args.lake_dir, drop_tombstones_below_lsn=args.horizon)))
         return 0
 
     if args.cmd == "fold-view":
@@ -134,8 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             group_cols=tuple(c for c in args.group_cols.split(",") if c),
             sum_cols=tuple(c for c in args.sum_cols.split(",") if c),
         )
-        with writer_lock(args.lake_dir):
-            print(json.dumps(fold_view_deltas(args.lake_dir, spec)))
+        print(json.dumps(fold_view_deltas(args.lake_dir, spec)))
         return 0
 
     if args.cmd == "delete-where":
@@ -143,8 +124,28 @@ def main(argv: list[str] | None = None) -> int:
             p.error("delete-where requires --where")
         from .sinks.lake import delete_where
 
-        with writer_lock(args.lake_dir):
+        try:
             print(json.dumps(delete_where(args.lake_dir, json.loads(args.where))))
+        except ValueError as e:  # a lake with views
+            p.error(str(e))
+        return 0
+
+    # The gc commands load the manifest inside the lock: one loaded
+    # before it misses the epochs a replay commits in between, and
+    # gc-orphans would delete their live files.
+    from .state.fs import writer_lock
+
+    if args.cmd == "gc-orphans":
+        with writer_lock(args.lake_dir):
+            print(json.dumps({"removed": Manifest.load(args.lake_dir).gc_orphans()}))
+        return 0
+
+    if args.cmd == "gc-history":
+        if args.keep_after is None:
+            p.error("gc-history requires --keep-after")
+        with writer_lock(args.lake_dir):
+            man = Manifest.load(args.lake_dir)
+            print(json.dumps({"removed": man.gc_history(args.keep_after)}))
         return 0
 
     return 1

@@ -7,8 +7,8 @@ task/taskgroupcontainer.go:39-239) — collapses into one Ray Data
 pipeline per epoch:
 
     source.read(lo, hi)                      # split: lsn-range read tasks
-      .map_batches(prepare)                  # transform, drop text,
-                                             # add_part_id, LWW combine
+      .map_batches(prepare)                  # drop text, LWW combine,
+                                             # add_part_id
       .write_parquet(partition_cols=[part_id])   # per-partition deltas
     -> one merge task per CPU, each over a   # committed file + deltas,
        run of sorted partition ids           # from one listing of them
@@ -114,8 +114,8 @@ class SynthEventSource:
 
 
 class DatasetEventSource:
-    """Replay an existing Dataset (or list of datasets, e.g. a v2-schema
-    continuation) that carries an ``lsn`` column."""
+    """Replay one existing Dataset that carries an ``lsn`` column. A
+    continuation (say, in a newer schema) is a second source and replay."""
 
     def __init__(self, ds, lsn_lo: int, lsn_hi: int):
         self.ds = ds
@@ -186,20 +186,17 @@ class ParquetWalSource:
 
 
 def make_prepare(cfg: "ReplayConfig"):
-    """The one prepare function every source's events go through:
-    transform -> drop source text (when the engine derives it) ->
-    add_part_id -> within-batch LWW combine."""
-    transform = cfg.transform
+    """The one prepare function every source's events go through: drop
+    source text (when the engine derives it) -> within-batch LWW combine
+    -> add_part_id, so only the combine's winners are hashed."""
     drop_text = cfg.extract_text
     key, nparts, hash_fn = cfg.key, cfg.num_partitions, cfg.hash_fn
 
     def prepare(t: pa.Table) -> pa.Table:
-        if transform is not None:
-            t = transform(t)
         if drop_text and "text" in t.column_names:
             t = t.drop_columns(["text"])
-        t = add_part_id(t, key=key, num_partitions=nparts, hash_fn=hash_fn)
-        return lww_combine_counted(t, min_reduction=_COMBINE_MIN_REDUCTION)
+        t = lww_combine_counted(t, min_reduction=_COMBINE_MIN_REDUCTION)
+        return add_part_id(t, key=key, num_partitions=nparts, hash_fn=hash_fn)
 
     return prepare
 
@@ -279,7 +276,6 @@ class ReplayConfig:
     # table state is identical either way, only placement moves; pick md5
     # when lineage/placement must be SQL-auditable).
     hash_fn: str = "crc32"
-    use_metrics: bool = False
     # Derive text = extract_text(html) inside the engine instead of
     # trusting/carrying the source's text column. The incoming text column
     # (if any) is dropped in prepare and extraction runs on the post-LWW
@@ -292,10 +288,6 @@ class ReplayConfig:
     # readable (read_lake(asof_epoch=...) time travel — the ES alias-swap
     # analogue); GC old views later with Manifest.gc_history().
     retain_history: bool = False
-    # Optional per-batch transform (pa.Table -> pa.Table) applied after the
-    # read — the dx_* transformer-chain hook (stages.transforms
-    # .build_transformer_chain output plugs in here).
-    transform: Any | None = None
     # Incrementally-maintained aggregate views (sinks.views.ViewSpec):
     # per-partition deltas computed INSIDE the merge (old/new state are
     # already in memory there), committed-epoch visibility via the
@@ -350,7 +342,7 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
     if inputs:
         merge = make_delta_merger(
             cfg.lake_dir, epoch, inputs,
-            extract_missing_text=cfg.extract_text, view_specs=cfg.views, key=cfg.key,
+            extract_missing_text=cfg.extract_text, views=cfg.views, key=cfg.key,
         )
         n = min(len(inputs), int(ray.cluster_resources()["CPU"]))
         merged = rd.from_items(
@@ -373,17 +365,11 @@ def replay(source: EventSource, cfg: ReplayConfig) -> ReplayResult:
     writer lock on the lake — two concurrent replays would race the
     manifest, so the second fails fast (flock is released by the OS even
     on crash, so a dead writer never wedges the lake)."""
-    metrics = None
-    if cfg.use_metrics:
-        from ..state.metrics import get_metrics_actor
-
-        metrics = get_metrics_actor()
-
     with writer_lock(cfg.lake_dir):
-        return _replay_locked(source, cfg, metrics)
+        return _replay_locked(source, cfg)
 
 
-def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayResult:
+def _replay_locked(source: EventSource, cfg: ReplayConfig) -> ReplayResult:
     man = Manifest.load(cfg.lake_dir)
     if man.num_partitions and man.num_partitions != cfg.num_partitions:
         raise ValueError(
@@ -447,11 +433,6 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig, metrics) -> ReplayRes
         # per-partition entry counts are post-combiner applied rows.
         n_events = hi - lo
         n_applied = sum(int(e["events"]) for e in entries)
-        if metrics is not None and entries:
-            # sent from the driver, so a later driver-side snapshot is
-            # ordered after these increments (one caller, in-order calls)
-            metrics.inc_many.remote(
-                {f"partition/{int(e['pid'])}/events": int(e["events"]) for e in entries})
         res.events += n_events
         res.epochs += 1
         res.epoch_stats.append({

@@ -15,7 +15,8 @@ copy-on-write partition merge:
        kernel returns winners in url order, so the file content is
        byte-deterministic without a second sort
     -> [derive text for new winners]
-    -> write the content-addressed final path part-{pid}/...-epoch-{e}
+    -> write_partition: view deltas, then the content-addressed final
+       path part-{pid}/...-epoch-{e} (compact and delete_where too)
 
 Visibility is decided by the manifest commit (state.manifest): the
 written epoch file is invisible garbage until the manifest points at it,
@@ -58,7 +59,7 @@ import pyarrow as pa
 
 from ..schema import conform, evolve
 from ..stages.lww import lww_indices
-from ..state.fs import LakeFS
+from ..state.fs import LakeFS, writer_lock
 from ..state.manifest import final_path
 
 # Readable manifest spellings of the common column types. Any other
@@ -130,9 +131,9 @@ def _fill_text(t: pa.Table) -> pa.Table:
 # save nothing (BASELINE.md §4h).
 LAKE_PARQUET_OPTS = {"compression": "zstd", "compression_level": 1,
                      "use_dictionary": False}
-# Committed partition files (the merge, compact and delete_where) add
-# their row-group size; the delta write leaves it to Ray, which turns
-# it into write_dataset row limits.
+# Committed partition files (``write_partition``) add their row-group
+# size; the delta write leaves it to Ray, which turns it into
+# write_dataset row limits.
 _PARTITION_FILE_OPTS = {**LAKE_PARQUET_OPTS, "row_group_size": 64 * 1024}
 # Payload types: min/max of a whole ~1 KB html or text value, in every
 # page header and column chunk, prunes nothing a reader asks for and
@@ -159,29 +160,46 @@ ENTRY_SCHEMA = pa.schema([
 ])
 
 
+def write_partition(fsh: LakeFS, lake_dir: str, epoch: int, pid: int,
+                    old: pa.Table | None, new: pa.Table, *,
+                    key: str | None, views: tuple = ()) -> dict:
+    """The one writer of partition epoch files (the merge, ``compact``,
+    ``delete_where``): each view's delta from ``old`` to ``new``, then
+    ``new`` at ``final_path``. Returns the entry's ``pid``, ``rows``,
+    ``schema_json`` and ``bytes``; the caller adds ``events`` and
+    ``max_lsn``."""
+    if views:
+        from .views import write_view_deltas
+
+        write_view_deltas(fsh, views, old, new, epoch, pid)
+    nbytes = fsh.write_parquet(new, final_path(lake_dir, pid, epoch), **_PARTITION_FILE_OPTS,
+                               write_statistics=statistics_columns(new.schema, key))
+    return {"pid": pid, "rows": new.num_rows, "schema_json": schema_to_json(new.schema),
+            "bytes": nbytes}
+
+
 def make_delta_merger(
     lake_dir: str,
     epoch: int,
     inputs: dict[int, tuple[str | None, list[str]]],
     extract_missing_text: bool = False,
-    view_specs: tuple = (),
+    views: tuple = (),
     key: str | None = None,
 ) -> Callable[[dict], pa.Table]:
     """Merge fn for the delta exchange: input batches carry partition ids;
     each pid's delta files (written by the partition-pruned
     ``write_parquet(partition_cols=["part_id"])`` stage) are read, LWW'd
-    against the committed partition file, and written to the epoch's
-    content-addressed final path (invisible until the manifest commit).
-    Duplicate delta rows from retried upstream write tasks are harmless —
-    LWW collapses them (idempotent reduction).
+    against the committed partition file, and written by
+    ``write_partition``. Duplicate delta rows from retried upstream
+    write tasks are harmless — LWW collapses them (idempotent
+    reduction).
 
     ``inputs`` maps each pid to ``(committed file or None, delta files
     in path order)``, from the driver's manifest snapshot and its one
     listing of the delta files: a small dict captured in the task
-    closure, shipped once per task. ``key`` is the lake key, whose
-    statistics the partition files keep (``statistics_columns``). Each
-    entry carries the bytes of the file written. A failed merge names
-    its epoch, partition and files."""
+    closure, shipped once per task. ``key`` is the lake key and
+    ``views`` the maintained views, both passed to ``write_partition``.
+    A failed merge names its epoch, partition and files."""
 
     def merge_pid(fsh, pid: int, old_path: str | None, files: list[str]) -> dict:
         old = fsh.read_parquet(old_path) if old_path is not None else None
@@ -213,17 +231,9 @@ def make_delta_merger(
         new = allt.take(lww_indices(allt))
         if extract_missing_text:
             new = _fill_text(new)
-        if view_specs:
-            # incremental view maintenance: old & new are already in
-            # memory here — two local aggregates, no extra lake IO
-            from .views import write_view_deltas
-
-            write_view_deltas(fsh, lake_dir, view_specs, old, new, epoch, pid)
-        nbytes = fsh.write_parquet(new, final_path(lake_dir, pid, epoch), **_PARTITION_FILE_OPTS,
-                                   write_statistics=statistics_columns(new.schema, key))
-        return {"pid": pid, "rows": new.num_rows, "events": events,
-                "max_lsn": int(pa.compute.max(new.column("lsn")).as_py()),
-                "schema_json": schema_to_json(new.schema), "bytes": nbytes}
+        entry = write_partition(fsh, lake_dir, epoch, pid, old, new, key=key, views=views)
+        return {**entry, "events": events,
+                "max_lsn": int(pa.compute.max(new.column("lsn")).as_py())}
 
     def merge_pids(batch: dict) -> pa.Table:
         fsh = LakeFS(lake_dir)
@@ -368,23 +378,25 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
 
 
 def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],
-                        retain_history: bool) -> int:
+                        retain_history: bool, views: tuple = ()) -> int:
     """Rewrite every committed partition of ``man`` through ``rewrite``
-    into one new epoch and commit it, returning that epoch. The epoch
-    applies no events and leaves the watermark where it is; each entry
-    keeps its partition's previous ``max_lsn``, since a rewritten
+    into one new epoch and commit it, returning that epoch. Like a
+    replay epoch, it first clears a crashed attempt's view deltas. The
+    epoch applies no events and leaves the watermark where it is; each
+    entry keeps its partition's previous ``max_lsn``, since a rewritten
     partition can end up empty. The commit record stores the bytes
     written as ``final_bytes``, as a replay epoch's does."""
+    from .views import clear_view_deltas
+
     epoch = man.epoch + 1
+    clear_view_deltas(man.fsh, epoch)
     entries = []
     for pid_s, ent in man.partitions.items():
         pid = int(pid_s)
-        t = rewrite(man.fsh.read_parquet(man.fsh.join(ent["file"])))
-        nbytes = man.fsh.write_parquet(t, final_path(man.lake_dir, pid, epoch),
-                                       **_PARTITION_FILE_OPTS,
-                                       write_statistics=statistics_columns(t.schema, man.key))
-        entries.append({"pid": pid, "rows": t.num_rows, "events": 0,
-                        "max_lsn": ent["max_lsn"], "bytes": nbytes})
+        old = man.fsh.read_parquet(man.fsh.join(ent["file"]))
+        entry = write_partition(man.fsh, man.lake_dir, epoch, pid, old, rewrite(old),
+                                key=man.key, views=views)
+        entries.append({**entry, "events": 0, "max_lsn": ent["max_lsn"]})
     if entries:
         man.commit_epoch(
             epoch, lsn_lo=man.watermark_lsn, lsn_hi=man.watermark_lsn,
@@ -398,7 +410,9 @@ def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],
 def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
             retain_history: bool = False) -> dict[str, int]:
     """Compaction: rewrite partitions dropping delete tombstones with
-    lsn < the horizon (default: the committed watermark).
+    lsn < the horizon (default: the committed watermark). Takes the
+    writer lock, as ``replay`` does. Views need no delta: a tombstone is
+    never a live row.
 
     SAFETY CONTRACT (documented per SURVEY.md §7.4 tombstone/resume
     interaction): dropping a tombstone is only safe when no future event
@@ -413,63 +427,73 @@ def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
 
     from ..state.manifest import Manifest
 
-    man = Manifest.load(lake_dir)
-    horizon = drop_tombstones_below_lsn if drop_tombstones_below_lsn is not None else man.watermark_lsn
-    dropped = 0
+    with writer_lock(lake_dir):
+        man = Manifest.load(lake_dir)
+        horizon = (drop_tombstones_below_lsn if drop_tombstones_below_lsn is not None
+                   else man.watermark_lsn)
+        dropped = 0
 
-    def drop_dead_tombstones(t: pa.Table) -> pa.Table:
-        nonlocal dropped
-        is_dead_tomb = pc.and_(
-            pc.equal(t.column("op"), pa.scalar("D")),
-            pc.less(t.column("lsn"), pa.scalar(horizon, pa.int64())),
-        )
-        out = t.filter(pc.invert(pc.fill_null(is_dead_tomb, False)))
-        dropped += t.num_rows - out.num_rows
-        return out
+        def drop_dead_tombstones(t: pa.Table) -> pa.Table:
+            nonlocal dropped
+            is_dead_tomb = pc.and_(
+                pc.equal(t.column("op"), pa.scalar("D")),
+                pc.less(t.column("lsn"), pa.scalar(horizon, pa.int64())),
+            )
+            out = t.filter(pc.invert(pc.fill_null(is_dead_tomb, False)))
+            dropped += t.num_rows - out.num_rows
+            return out
 
-    epoch = _rewrite_partitions(man, drop_dead_tombstones, retain_history)
+        epoch = _rewrite_partitions(man, drop_dead_tombstones, retain_history)
     return {"dropped_tombstones": dropped, "epoch": epoch}
 
 
-def delete_where(lake_dir: str, where: list[list], *,
-                 retain_history: bool = False) -> dict[str, int]:
+def delete_where(lake_dir: str, where: list[list], *, retain_history: bool = False,
+                 views: tuple = ()) -> dict[str, int]:
     """ES deleteByConditions analogue (elasticsearch_writer.go:1257-1286):
     flip every committed row matching the ``where`` conjunction
     ([["col", op, value], ...], the parquet-reader filter grammar) to a
     delete tombstone, in one atomically-committed epoch. Rows keep their
     own (warc_ts, lsn), so the delete is exactly as durable as the state
     it deleted — a later CDC event with a newer version key still wins
-    (the same semantics as deleteBy-then-index in the reference)."""
+    (the same semantics as deleteBy-then-index in the reference). Takes
+    the writer lock, as ``replay`` does. ``views`` are the lake's
+    ``ReplayConfig.views``, whose deltas the epoch writes; a view under
+    ``_views/`` missing from them raises ValueError before any write."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     from ..sources.parquet import build_filter
     from ..state.manifest import Manifest
+    from .views import view_names
 
     if not where:
         raise ValueError("delete_where needs at least one condition")
-    man = Manifest.load(lake_dir)
-    flipped = 0
-    expr = None
+    with writer_lock(lake_dir):
+        man = Manifest.load(lake_dir)
+        missing = sorted(view_names(man.fsh) - {v.name for v in views})
+        if missing:
+            raise ValueError(f"delete_where: pass the ViewSpecs of the lake's views {missing}")
+        flipped = 0
+        expr = None
 
-    def flip_matches(t: pa.Table) -> pa.Table:
-        nonlocal flipped, expr
-        if expr is None:
-            # Bind string values against the lake's actual column types
-            # (parquet._coerce) — built once, from the first partition's
-            # schema (all partitions share the manifest schema).
-            expr = build_filter(where, t.schema)
-        # evaluate the expression as a boolean mask over the partition
-        mask_tbl = pads.dataset(t).scanner(columns={"_m": expr}).to_table()
-        mask = pc.fill_null(mask_tbl.column("_m"), False)
-        flips = pc.sum(pc.cast(mask, pa.int64())).as_py() or 0
-        if not flips:
-            return t
-        flipped += flips
-        new_op = pc.if_else(mask, pa.scalar("D"), t.column("op"))
-        return t.set_column(t.column_names.index("op"), "op", new_op)
+        def flip_matches(t: pa.Table) -> pa.Table:
+            nonlocal flipped, expr
+            if expr is None:
+                # Bind string values against the lake's actual column types
+                # (parquet._coerce) — built once, from the first partition's
+                # schema (all partitions share the manifest schema).
+                expr = build_filter(where, t.schema)
+            # evaluate the expression as a boolean mask over the partition
+            mask_tbl = pads.dataset(t).scanner(columns={"_m": expr}).to_table()
+            mask = pc.fill_null(mask_tbl.column("_m"), False)
+            flips = pc.sum(pc.cast(mask, pa.int64())).as_py() or 0
+            if not flips:
+                return t
+            flipped += flips
+            new_op = pc.if_else(mask, pa.scalar("D"), t.column("op"))
+            return t.set_column(t.column_names.index("op"), "op", new_op)
 
-    epoch = _rewrite_partitions(man, flip_matches, retain_history)
+        epoch = _rewrite_partitions(man, flip_matches, retain_history, views)
     return {"deleted": flipped, "epoch": epoch}
 
 

@@ -25,6 +25,7 @@ re-query, /root/reference/README.md:224); this is the operator a
 
 from __future__ import annotations
 
+import posixpath
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -32,7 +33,7 @@ from typing import Callable
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.fs import LakeFS
+from ..state.fs import LakeFS, writer_lock
 from .lake import LAKE_PARQUET_OPTS, statistics_columns
 
 VIEWS_DIR = "_views"
@@ -110,12 +111,6 @@ def partition_view_delta(
     return d.filter(nonzero)
 
 
-def view_delta_path(lake_dir: str, spec_name: str, epoch: int, pid: int) -> str:
-    return LakeFS(lake_dir).join(
-        VIEWS_DIR, spec_name, f"delta-e{epoch:06d}-p{pid:05d}.parquet"
-    )
-
-
 def clear_view_deltas(fsh: LakeFS, epoch: int) -> None:
     """Remove every view's deltas of ``epoch``, before the epoch (re)runs.
     ``write_view_deltas`` writes no file for an empty delta, so a retry
@@ -125,25 +120,24 @@ def clear_view_deltas(fsh: LakeFS, epoch: int) -> None:
         raise OSError(f"could not clear the view deltas of epoch {epoch}: {failed}")
 
 
-def write_view_deltas(
-    fsh: LakeFS,
-    lake_dir: str,
-    specs: tuple[ViewSpec, ...],
-    old: pa.Table | None,
-    new: pa.Table,
-    epoch: int,
-    pid: int,
-) -> None:
-    """Called from inside the partition merge, where old/new already sit
-    in memory. Content-addressed path per (view, epoch, pid): a retried
-    epoch recomputes the identical delta and overwrites idempotently."""
+def view_names(fsh: LakeFS) -> set[str]:
+    """The names of the views the lake holds files of under ``_views/``."""
+    return {posixpath.basename(posixpath.dirname(f))
+            for f in fsh.glob(fsh.join(VIEWS_DIR, "*", "*.parquet"))}
+
+
+def write_view_deltas(fsh: LakeFS, specs: tuple[ViewSpec, ...], old: pa.Table | None,
+                      new: pa.Table, epoch: int, pid: int) -> None:
+    """Called from ``sinks.lake.write_partition``, where old/new already
+    sit in memory: two local aggregates, no extra lake IO.
+    Content-addressed path per (view, epoch, pid): a retried epoch
+    recomputes the identical delta and overwrites idempotently."""
     for spec in specs:
         d = partition_view_delta(old, new, spec)
-        if d.num_rows == 0:
-            continue
-        path = view_delta_path(lake_dir, spec.name, epoch, pid)
-        fsh.write_parquet(d, path, **LAKE_PARQUET_OPTS,
-                          write_statistics=statistics_columns(d.schema))
+        if d.num_rows:
+            path = fsh.join(VIEWS_DIR, spec.name, f"delta-e{epoch:06d}-p{pid:05d}.parquet")
+            fsh.write_parquet(d, path, **LAKE_PARQUET_OPTS,
+                              write_statistics=statistics_columns(d.schema))
 
 
 def _list_delta_files(fsh: LakeFS, base: str) -> list[tuple[int, str]]:
@@ -176,30 +170,32 @@ def fold_view_deltas(lake_dir: str, spec: ViewSpec) -> dict:
     prefers the NEWEST base and ignores deltas <= its epoch). Folding
     drops per-epoch granularity, so ``asof_epoch`` time travel below the
     base epoch stops working — same trade as Manifest.gc_history.
-    Caller must hold the lake writer lock (same contract as gc)."""
+    Takes the writer lock, as ``replay`` does."""
     from ..state.manifest import Manifest
 
-    man = Manifest.load(lake_dir)
-    fsh = man.fsh
-    base_dir = fsh.join(VIEWS_DIR, spec.name)
-    prior = _find_base(fsh, base_dir)
-    deltas = [
-        (e, f) for e, f in _list_delta_files(fsh, base_dir)
-        if e <= man.epoch and (prior is None or e > prior[0])
-    ]
-    if not deltas:
-        return {"folded": 0, "base_epoch": prior[0] if prior else -1}
-    parts = [fsh.read_parquet(f) for _, f in deltas]
-    if prior is not None:
-        parts.append(fsh.read_parquet(prior[1]))
-    t = _sum_deltas(parts, spec)
-    new_epoch = max(e for e, _ in deltas)
-    out = f"{base_dir}/base-e{new_epoch:06d}.parquet"
-    fsh.write_parquet(t, out, **LAKE_PARQUET_OPTS, write_statistics=statistics_columns(t.schema))
-    # best-effort: a leftover delta <= base epoch is ignored by read_view
-    folded = len(deltas) - len(fsh.remove_many(f for _, f in deltas))
-    if prior is not None:
-        fsh.remove_many([prior[1]])
+    with writer_lock(lake_dir):
+        man = Manifest.load(lake_dir)
+        fsh = man.fsh
+        base_dir = fsh.join(VIEWS_DIR, spec.name)
+        prior = _find_base(fsh, base_dir)
+        deltas = [
+            (e, f) for e, f in _list_delta_files(fsh, base_dir)
+            if e <= man.epoch and (prior is None or e > prior[0])
+        ]
+        if not deltas:
+            return {"folded": 0, "base_epoch": prior[0] if prior else -1}
+        parts = [fsh.read_parquet(f) for _, f in deltas]
+        if prior is not None:
+            parts.append(fsh.read_parquet(prior[1]))
+        t = _sum_deltas(parts, spec)
+        new_epoch = max(e for e, _ in deltas)
+        out = f"{base_dir}/base-e{new_epoch:06d}.parquet"
+        fsh.write_parquet(t, out, **LAKE_PARQUET_OPTS,
+                          write_statistics=statistics_columns(t.schema))
+        # best-effort: a leftover delta <= base epoch is ignored by read_view
+        folded = len(deltas) - len(fsh.remove_many(f for _, f in deltas))
+        if prior is not None:
+            fsh.remove_many([prior[1]])
     return {"folded": folded, "base_epoch": new_epoch}
 
 

@@ -32,10 +32,6 @@ class MetricsActor:
     def inc(self, key: str, n: int = 1) -> None:
         self.counters[key] += n
 
-    def inc_many(self, items: dict[str, int]) -> None:
-        for k, n in items.items():
-            self.counters[k] += n
-
     def snapshot(self) -> dict[str, int]:
         return dict(self.counters)
 

@@ -11,9 +11,14 @@ the evolved column must appear on new winners, stay null on old rows,
 match the oracle value per live url, and survive compaction; pre-v2
 as-of views must stay byte-stable.
 
+One maintained view (``by_lang``: rows and lsn sum per lang) rides the
+replays and delete_where, as a deployment's views would.
+
 Invariants checked every cycle:
 - final state == python LWW oracle (url, lsn, op; delete_where flips
   matching winners, compaction forgets dead tombstones entirely)
+- the view == a recompute from the final state after every replay,
+  delete_where and compaction
 - compaction NEVER changes final state
 - every retained epoch's as-of view reproduces the digest recorded the
   moment it committed (time travel is stable under later maintenance)
@@ -78,7 +83,8 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
         SynthEventSource,
         replay,
     )
-    from go_datax_ray.sinks.lake import compact, delete_where
+    from go_datax_ray.sinks.lake import compact, delete_where, read_lake_table
+    from go_datax_ray.sinks.views import ViewSpec, read_view
     from go_datax_ray.state.manifest import Manifest
     from go_datax_ray.synth import EventGen, SynthConfig
 
@@ -87,9 +93,10 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
     # id, plus fetch_status (synth.py); kicks in at the soak's midpoint
     scfg_v2 = SynthConfig(seed=seed, n_urls=n_urls, ts_range_s=600, v2=True)
     evolve_at = cycles // 2
+    views = (ViewSpec(name="by_lang", group_cols=("lang",), sum_cols=("lsn",)),)
     cfg = ReplayConfig(
         lake_dir=lake, num_partitions=num_partitions,
-        epoch_size=max(events_per_cycle // 2, 1), retain_history=True,
+        epoch_size=max(events_per_cycle // 2, 1), retain_history=True, views=views,
     )
     gen = EventGen(scfg)
     gen_v2 = EventGen(scfg_v2)
@@ -125,13 +132,20 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
 
     stats = {"cycles": 0, "deletes": 0, "compactions": 0,
              "tombstones_dropped": 0, "asof_checks": 0,
-             "evolution_checks": 0}
+             "evolution_checks": 0, "view_checks": 0}
+
+    def check_view(where: str) -> None:
+        """The maintained view equals a group-by over the final state."""
+        t = read_lake_table(lake).group_by(["lang"]).aggregate(
+            [("lsn", "sum"), ([], "count_all")])
+        want = {r["lang"]: (r["count_all"], r["lsn_sum"]) for r in t.to_pylist()}
+        got = {r["lang"]: (r["n"], r["sum_lsn"]) for r in read_view(lake, views[0]).to_pylist()}
+        assert got == want, f"{where}: view != recompute"
+        stats["view_checks"] += 1
 
     def check_evolution(where: str) -> None:
         """Evolved-column invariants: present, null on pre-v2 winners,
         oracle-exact on live urls."""
-        from go_datax_ray.sinks.lake import read_lake_table
-
         t = read_lake_table(lake)
         assert "fetch_status" in t.column_names, f"{where}: fetch_status missing"
         got = dict(zip(t.column("url").to_pylist(),
@@ -153,13 +167,14 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
         man = Manifest.load(lake)
         got = _digest(_final(lake))
         assert got == oracle_digest(), f"cycle {c}: replay final != oracle"
+        check_view(f"cycle {c} post-replay")
         snapshots[man.epoch] = got
 
         if v2:
             check_evolution(f"cycle {c} post-replay")
 
         if c % 2 == 0:
-            delete_where(lake, [["lang", "=", "es"]], retain_history=True)
+            delete_where(lake, [["lang", "=", "es"]], retain_history=True, views=views)
             for u, (ts, lsn, op, lang, fs) in list(oracle.items()):
                 if op != "D" and lang == "es":
                     oracle[u] = (ts, lsn, "D", lang, fs)
@@ -167,6 +182,7 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
             man = Manifest.load(lake)
             got = _digest(_final(lake))
             assert got == oracle_digest(), f"cycle {c}: delete_where != oracle"
+            check_view(f"cycle {c} post-delete_where")
             snapshots[man.epoch] = got
 
         before = _digest(_final(lake))
@@ -182,6 +198,7 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
         got = _digest(_final(lake))
         assert got == before, f"cycle {c}: compaction changed final state"
         assert got == oracle_digest(), f"cycle {c}: post-compaction oracle drift"
+        check_view(f"cycle {c} post-compaction")
         if v2:
             # evolution x compaction: the additive column survives the
             # rewrite with oracle-exact values (checked pre-compaction

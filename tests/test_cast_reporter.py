@@ -57,22 +57,6 @@ def test_cast_bytes_roundtrip():
 
 
 # ------------------------------------------------------------- reporter
-def test_replay_populates_metrics_actor(tmp_path):
-    from go_datax_ray.pipelines.cdc_replay import ReplayConfig, SynthEventSource, replay
-    from go_datax_ray.state.metrics import get_metrics_actor
-    from go_datax_ray.synth import SynthConfig
-    import ray
-
-    replay(
-        SynthEventSource(2000, SynthConfig(seed=2, n_urls=100)),
-        ReplayConfig(lake_dir=str(tmp_path / "lake"), num_partitions=4, use_metrics=True),
-    )
-    snap = ray.get(get_metrics_actor().snapshot.remote())
-    part_keys = [k for k in snap if k.startswith("partition/")]
-    assert len(part_keys) == 4
-    assert sum(snap[k] for k in part_keys) > 0
-
-
 def test_speed_reporter_emits_lines():
     from go_datax_ray.state.metrics import get_metrics_actor
     from go_datax_ray.state.reporter import SpeedReporter

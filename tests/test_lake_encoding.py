@@ -13,12 +13,13 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from go_datax_ray.pipelines.cdc_replay import ReplayConfig, SynthEventSource, replay
+from go_datax_ray.pipelines.cdc_replay import (
+    DatasetEventSource, ReplayConfig, SynthEventSource, replay)
 from go_datax_ray.sinks.lake import compact, delete_where, lookup, read_lake_table
 from go_datax_ray.sinks.views import ViewSpec, fold_view_deltas
 from go_datax_ray.state.fs import LakeFS
 from go_datax_ray.state.manifest import Manifest
-from go_datax_ray.synth import SynthConfig
+from go_datax_ray.synth import EventGen, SynthConfig
 
 SPEC = ViewSpec(name="by_lang", group_cols=("lang",))
 KINDS = ("_delta", "part-", "delta-e", "base-e")
@@ -54,7 +55,7 @@ def lake_files(ray_session, tmp_path_factory):
         fold_view_deltas(lake, SPEC)  # a view base file
         replay(SynthEventSource(3000, SynthConfig(seed=3, n_urls=300)), cfg)  # view deltas on top
     compact(lake, retain_history=True)
-    delete_where(lake, [["lang", "=", "en"]], retain_history=True)
+    delete_where(lake, [["lang", "=", "en"]], retain_history=True, views=(SPEC,))
 
     files: dict[str, list[str]] = {k: [] for k in KINDS}
     for f in sorted(glob.glob(os.path.join(lake, "**", "*.parquet"), recursive=True)):
@@ -95,14 +96,14 @@ def test_large_string_key_keeps_its_statistics(ray_session, tmp_path):
     """A lake keyed by a ``large_string`` column keeps min/max on the key
     in the replay's and ``compact``'s files, and lookups by it return
     the keys' rows."""
-    def large_url(t: pa.Table) -> pa.Table:
-        i = t.column_names.index("url")
-        return t.set_column(i, "url", t.column(i).cast(pa.large_string()))
+    import ray.data as rd
 
+    events = EventGen(SynthConfig(seed=4, n_urls=200))(pa.table({"id": range(2000)}))
+    events = events.set_column(events.column_names.index("url"), "url",
+                               events.column("url").cast(pa.large_string()))
     lake = str(tmp_path / "lake")
-    replay(SynthEventSource(2000, SynthConfig(seed=4, n_urls=200)),
-           ReplayConfig(lake_dir=lake, num_partitions=2, epoch_size=1000,
-                        transform=large_url))
+    replay(DatasetEventSource(rd.from_arrow(events), 0, 2000),
+           ReplayConfig(lake_dir=lake, num_partitions=2, epoch_size=1000))
     compact(lake)
     for f in Manifest.load(lake).committed_files():
         assert pq.read_schema(f).field("url").type == pa.large_string()

@@ -275,23 +275,32 @@ def test_stale_tmp_and_delta_garbage_ignored(tmp_path, oracle):
     _assert_matches_oracle(tmp_path / "lake", oracle)  # alien rows invisible
 
 
+def test_replay_config_fields():
+    """The replay's whole configuration: no transform hook runs before
+    the LWW combine, and no metrics push runs after the commit."""
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(ReplayConfig)] == [
+        "lake_dir", "num_partitions", "epoch_size", "key", "hash_fn",
+        "extract_text", "retain_history", "views"]
+
+
 def test_empty_epoch_advances_watermark(tmp_path):
-    """An epoch whose events are all filtered still commits (watermark
+    """An epoch whose range holds no events still commits (watermark
     advances) — a tailing rerun must not reprocess the empty range."""
-    import pyarrow.compute as pc_
+    import ray.data as rd
+
+    from go_datax_ray.synth import CDC_EVENT_SCHEMA
 
     lake = str(tmp_path / "lake")
-    cfg = ReplayConfig(
-        lake_dir=lake,
-        num_partitions=4,
-        transform=lambda t: t.filter(pc_.less(t.column("lsn"), pa.scalar(0))),  # drop all
-    )
-    res = replay(SynthEventSource(1000, CFG), cfg)
+    cfg = ReplayConfig(lake_dir=lake, num_partitions=4)
+    empty = CDC_EVENT_SCHEMA.empty_table()  # lsn 0..999 hold no events
+    res = replay(DatasetEventSource(rd.from_arrow(empty), 0, 1000), cfg)
     assert res.events == 1000
     man = Manifest.load(lake)
     assert man.watermark_lsn == 999  # advanced despite zero applied rows
     assert not os.path.exists(f"{lake}/_delta/epoch-000000")
-    res2 = replay(SynthEventSource(1000, CFG), cfg)
+    res2 = replay(DatasetEventSource(rd.from_arrow(empty), 0, 1000), cfg)
     assert res2.events == 0 and res2.epochs == 0  # no reprocessing
 
 

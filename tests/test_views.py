@@ -171,7 +171,7 @@ def test_uncommitted_epoch_deltas_invisible(tmp_path):
         "op": ["U"], "lang": ["zz"],
         "text": ["x" * 10],
     })
-    write_view_deltas(LakeFS(lake), lake, (SPEC,), None, fake_new,
+    write_view_deltas(LakeFS(lake), (SPEC,), None, fake_new,
                       crashed_epoch, 0)
     assert _view(lake) == before  # zz never appears
     assert "zz" not in _view(lake)
@@ -220,3 +220,107 @@ def test_crashed_attempt_view_delta_cleared_on_retry(tmp_path, monkeypatch):
     replay(DatasetEventSource(rd.from_arrow(events), 0, 2), cfg)
     assert read_lake_table(lake).num_rows == 0
     assert read_view(lake, spec).num_rows == 0
+
+
+def test_delete_where_maintains_views(tmp_path):
+    """delete_where(views=...) writes the views' deltas in its epoch, so
+    the view stops counting the deleted rows, also after a further
+    replay."""
+    from go_datax_ray.sinks.lake import delete_where
+
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=3000,
+                       views=(SPEC,))
+    replay(SynthEventSource(6000, SynthConfig(n_urls=600)), cfg)
+    en_before = _view(lake)["en"][0]
+    out = delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))
+    assert out["deleted"] >= en_before > 0
+    assert "en" not in _view(lake)
+    assert _view(lake) == _recompute(lake)
+    replay(SynthEventSource(9000, SynthConfig(n_urls=600)), cfg)
+    assert _view(lake) == _recompute(lake)
+
+
+def _lake_files(lake: str) -> dict:
+    import hashlib
+    import os
+
+    out = {}
+    for root, _, names in os.walk(lake):
+        for n in names:
+            p = os.path.join(root, n)
+            with open(p, "rb") as f:
+                out[os.path.relpath(p, lake)] = hashlib.sha256(f.read()).hexdigest()
+    return out
+
+
+def test_delete_where_refuses_a_view_it_was_not_given(tmp_path):
+    """Without the lake's views, delete_where raises before it writes
+    anything, naming each missing view; the CLI, which cannot pass a
+    ``derive`` hook, refuses too."""
+    import pytest
+
+    from go_datax_ray.lake_cli import main as cli
+    from go_datax_ray.sinks.lake import delete_where
+
+    spec2 = ViewSpec(name="op_counts", group_cols=("lang", "op"))
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, views=(SPEC, spec2)))
+    before = _lake_files(lake)
+    with pytest.raises(ValueError, match=r"\['lang_stats', 'op_counts'\]"):
+        delete_where(lake, [["lang", "=", "en"]])
+    with pytest.raises(ValueError, match=r"\['op_counts'\]"):
+        delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))
+    with pytest.raises(SystemExit):
+        cli(["delete-where", lake, "--where", '[["lang","=","en"]]'])
+    assert _lake_files(lake) == before
+
+
+def test_compaction_epoch_hides_a_crashed_attempts_view_delta(tmp_path):
+    """A compaction commits the epoch a crashed replay attempt wrote view
+    deltas for; it clears them first, as a replay retry does, so they
+    never become visible."""
+    from go_datax_ray.sinks.lake import compact
+    from go_datax_ray.sinks.views import write_view_deltas
+    from go_datax_ray.state.fs import LakeFS
+    from go_datax_ray.state.manifest import Manifest
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, views=(SPEC,)))
+    crashed_epoch = Manifest.load(lake).epoch + 1
+    write_view_deltas(LakeFS(lake), (SPEC,), None,
+                      pa.table({"op": ["U"], "lang": ["zz"], "text": ["x"]}),
+                      crashed_epoch, 0)
+    assert compact(lake)["epoch"] == crashed_epoch
+    assert "zz" not in _view(lake)
+    assert _view(lake) == _recompute(lake)
+
+
+def test_maintenance_ops_take_the_writer_lock(tmp_path):
+    """compact, delete_where and fold_view_deltas fail fast while
+    another job holds the writer lock, and change nothing."""
+    import pytest
+
+    from go_datax_ray.sinks.lake import compact, delete_where
+    from go_datax_ray.sinks.views import fold_view_deltas
+    from go_datax_ray.state.fs import writer_lock
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000,
+                        views=(SPEC,)))
+    before = _lake_files(lake)
+    ops = [lambda: compact(lake),
+           lambda: delete_where(lake, [["lang", "=", "en"]], views=(SPEC,)),
+           lambda: fold_view_deltas(lake, SPEC)]
+    with writer_lock(lake):  # an in-flight replay
+        for op in ops:
+            with pytest.raises(RuntimeError, match="another job holds the lake writer lock"):
+                op()
+    assert _lake_files(lake) == before
+    # once the lock is free, each runs
+    assert compact(lake)["epoch"] == 3
+    assert delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))["epoch"] == 4
+    assert fold_view_deltas(lake, SPEC)["base_epoch"] == 4
