@@ -549,12 +549,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return grouped_outliers(ev)
 
     def q_lake_view(sf_dir: str):
-        """Incrementally-maintained aggregate view (sinks/views.py):
-        replay the CDC log into a lake over several epochs with a
-        per-event_type (count, exact-cents sum) view updated INSIDE each
-        partition merge from the in-memory old/new states; the returned
-        table is read from the epoch delta files, never recomputed from
-        the lake."""
+        """Maintained aggregate view (sinks/views.py): replay the CDC
+        log into a lake over several epochs with a per-event_type
+        (count, exact-cents sum) view whose state each partition merge
+        writes into its file's footer from the in-memory merged rows;
+        the returned table sums the committed files' footers, never
+        recomputed from the lake's rows."""
         import shutil
 
         import pyarrow as _pa

@@ -8,7 +8,6 @@
     python -m go_datax_ray.lake_cli gc-orphans LAKE_DIR
     python -m go_datax_ray.lake_cli gc-history LAKE_DIR --keep-after N
     python -m go_datax_ray.lake_cli delete-where LAKE_DIR --where '[["col","op",value],...]'
-    python -m go_datax_ray.lake_cli fold-view LAKE_DIR --view NAME --group-cols a,b [--sum-cols x,y]
 
 Owns its own Ray session (only for ``count``); every other command is
 pure manifest/filesystem work. ``get`` prints the keys' live rows, one
@@ -17,10 +16,11 @@ partitions they hash to. LAKE_DIR may be a local path or any
 fsspec URI (file://, s3://, ...).
 
 Every command that changes the lake holds the replay's writer lock:
-``compact``, ``delete_where`` and ``fold_view_deltas`` take it
-themselves, and the CLI takes it for the gc commands, which run on a
-loaded ``Manifest``. ``delete-where`` refuses a lake with views: it
-cannot pass their ``ViewSpec``s' ``derive`` hooks.
+``compact`` and ``delete_where`` take it themselves, and the CLI takes
+it for the gc commands, which run on a loaded ``Manifest``.
+``delete-where`` works on lakes with views: it cannot pass their
+``ViewSpec``s, so the files it rewrites carry no view state and
+``read_view`` recomputes those partitions from their rows.
 """
 
 from __future__ import annotations
@@ -34,16 +34,13 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="go_datax_ray.lake_cli")
     p.add_argument("cmd", choices=["status", "lineage", "count", "get",
                                    "compact", "gc-orphans", "gc-history",
-                                   "delete-where", "fold-view"])
+                                   "delete-where"])
     p.add_argument("lake_dir")
     p.add_argument("--keys", type=str, default=None)
     p.add_argument("--asof-epoch", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--keep-after", type=int, default=None)
     p.add_argument("--where", type=str, default=None)
-    p.add_argument("--view", type=str, default=None)
-    p.add_argument("--group-cols", type=str, default=None)
-    p.add_argument("--sum-cols", type=str, default="")
     args = p.parse_args(argv)
 
     from .state.manifest import Manifest
@@ -103,22 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(compact(args.lake_dir, drop_tombstones_below_lsn=args.horizon)))
         return 0
 
-    if args.cmd == "fold-view":
-        # Folding only touches measure sums, so the CLI spec needs the
-        # column lists but never the (non-serialisable) derive hook —
-        # derived measure columns already live inside the delta files.
-        if not args.view or not args.group_cols:
-            p.error("fold-view requires --view and --group-cols")
-        from .sinks.views import ViewSpec, fold_view_deltas
-
-        spec = ViewSpec(
-            name=args.view,
-            group_cols=tuple(c for c in args.group_cols.split(",") if c),
-            sum_cols=tuple(c for c in args.sum_cols.split(",") if c),
-        )
-        print(json.dumps(fold_view_deltas(args.lake_dir, spec)))
-        return 0
-
     if args.cmd == "delete-where":
         if not args.where:
             p.error("delete-where requires --where")
@@ -126,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
         try:
             print(json.dumps(delete_where(args.lake_dir, json.loads(args.where))))
-        except ValueError as e:  # a lake with views
+        except ValueError as e:  # an empty condition list
             p.error(str(e))
         return 0
 

@@ -47,7 +47,6 @@ import pyarrow.compute as pc
 
 from ..schema import evolve
 from ..sinks.lake import make_delta_merger, schema_from_json, schema_to_json
-from ..sinks.views import clear_view_deltas
 from ..stages.lww import lww_combine_counted
 from ..stages.partition import add_part_id
 from ..state.fs import LakeFS, writer_lock
@@ -270,6 +269,12 @@ class ReplayConfig:
     lake_dir: str
     num_partitions: int = 32
     epoch_size: int = 1_000_000
+    # The column the lake is hash-placed and looked up by (part_id =
+    # hash(key) % P; lookup and read_lake(keys=)): the analogue of ES
+    # routing. Records are identified by url whatever it names: LWW
+    # keeps one row per url, so two urls under one key stay two rows
+    # in the key's partition, as sinks.parquet.write_upsert's routing
+    # places rows by _routing and dedups them by url.
     key: str = "url"
     # Partition hash family: "crc32" (reference-exact CRC32(pk)%N hot
     # path) or "md5" (DuckDB md5_number_lower-checkable placement — final
@@ -288,10 +293,11 @@ class ReplayConfig:
     # readable (read_lake(asof_epoch=...) time travel — the ES alias-swap
     # analogue); GC old views later with Manifest.gc_history().
     retain_history: bool = False
-    # Incrementally-maintained aggregate views (sinks.views.ViewSpec):
-    # per-partition deltas computed INSIDE the merge (old/new state are
-    # already in memory there), committed-epoch visibility via the
-    # manifest; read with sinks.views.read_view.
+    # Maintained aggregate views (sinks.views.ViewSpec): the merge writes
+    # each view's aggregate of a partition's new rows, already in memory
+    # there, into the partition file's footer, so the state is committed
+    # with the file; read with sinks.views.read_view, which recomputes
+    # the partitions a replay without the view wrote.
     views: tuple = ()
 
 
@@ -325,8 +331,6 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
     fsh = LakeFS(cfg.lake_dir)
     delta_dir = fsh.join("_delta", f"epoch-{epoch:06d}")
     fsh.rmtree(delta_dir)  # idempotent epoch restart
-    if cfg.views:
-        clear_view_deltas(fsh, epoch)
     t0 = time.perf_counter()
     ds.write_parquet(delta_dir, partition_cols=["part_id"],
                      filesystem=fsh.pafs, **_DELTA_PARQUET_OPTS)

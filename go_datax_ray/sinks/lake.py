@@ -15,13 +15,17 @@ copy-on-write partition merge:
        kernel returns winners in url order, so the file content is
        byte-deterministic without a second sort
     -> [derive text for new winners]
-    -> write_partition: view deltas, then the content-addressed final
-       path part-{pid}/...-epoch-{e} (compact and delete_where too)
+    -> write_partition: the content-addressed final path
+       part-{pid}/...-epoch-{e}, with the views' states of the new
+       rows in its footer (compact and delete_where too)
 
 Visibility is decided by the manifest commit (state.manifest): the
 written epoch file is invisible garbage until the manifest points at it,
 so retried tasks (deterministic bytes, same path) are harmless and NO
 rename is needed on data files — the data plane is S3-compatible.
+Each file's footer carries the states of the lake's maintained views
+over its own rows (``sinks.views``), so view state shares that
+visibility, its retries and its history.
 
 The merge runs after the delta write (``make_delta_merger``): one
 task per CPU, each merging a run of partition ids one after another,
@@ -31,12 +35,11 @@ scale the per-partition rewrite amortises because P is sized so a
 partition is a few GB (copy-on-write upsert, Hudi/Delta-style); the hot
 path stays vectorised Arrow end-to-end.
 
-Every file the lake keeps (partition and view files) has one
-encoding, ``LAKE_PARQUET_OPTS``: zstd level 1 without dictionary
-pages, with min/max statistics only where a reader can prune on them
-(``statistics_columns``): every column but the ``large_binary`` and
-``large_string`` payload columns (``html``, ``text``), and always the
-lake key. Only the intra-epoch delta files, written and read once on
+Every file the lake keeps has one encoding, ``LAKE_PARQUET_OPTS``:
+zstd level 1 without dictionary pages, with min/max statistics only
+where a reader can prune on them (``statistics_columns``): every
+column but the ``large_binary`` and ``large_string`` payload columns
+(``html``, ``text``), and always the lake key. Only the intra-epoch delta files, written and read once on
 the epoch's critical path, are lz4 and carry no statistics
 (``cdc_replay._DELTA_PARQUET_OPTS``).
 
@@ -125,10 +128,10 @@ def _fill_text(t: pa.Table) -> pa.Table:
                         pa.compute.replace_with_mask(text, need, vals))
 
 
-# The encoding of every file the lake keeps: partition files and view
-# files. zstd-1 without dictionary pages: html, text and url are nearly
-# all distinct values, so dictionary pages cost bytes and encode CPU and
-# save nothing (BASELINE.md §4h).
+# The encoding of every file the lake keeps. zstd-1 without dictionary
+# pages: html, text and url are nearly all distinct values, so
+# dictionary pages cost bytes and encode CPU and save nothing
+# (BASELINE.md §4h).
 LAKE_PARQUET_OPTS = {"compression": "zstd", "compression_level": 1,
                      "use_dictionary": False}
 # Committed partition files (``write_partition``) add their row-group
@@ -160,18 +163,16 @@ ENTRY_SCHEMA = pa.schema([
 ])
 
 
-def write_partition(fsh: LakeFS, lake_dir: str, epoch: int, pid: int,
-                    old: pa.Table | None, new: pa.Table, *,
-                    key: str | None, views: tuple = ()) -> dict:
+def write_partition(fsh: LakeFS, lake_dir: str, epoch: int, pid: int, new: pa.Table, *,
+                    key: str | None, views: dict[bytes, bytes]) -> dict:
     """The one writer of partition epoch files (the merge, ``compact``,
-    ``delete_where``): each view's delta from ``old`` to ``new``, then
-    ``new`` at ``final_path``. Returns the entry's ``pid``, ``rows``,
-    ``schema_json`` and ``bytes``; the caller adds ``events`` and
-    ``max_lsn``."""
-    if views:
-        from .views import write_view_deltas
-
-        write_view_deltas(fsh, views, old, new, epoch, pid)
+    ``delete_where``): ``new`` at ``final_path``, its schema metadata
+    replaced by exactly ``views``, the view states of its footer
+    (``sinks.views.view_states``). A table read from a lake file
+    carries that file's metadata, which must not leak into the new
+    one. Returns the entry's ``pid``, ``rows``, ``schema_json`` and
+    ``bytes``; the caller adds ``events`` and ``max_lsn``."""
+    new = new.replace_schema_metadata(views or None)  # {} would serialize empty metadata
     nbytes = fsh.write_parquet(new, final_path(lake_dir, pid, epoch), **_PARTITION_FILE_OPTS,
                                write_statistics=statistics_columns(new.schema, key))
     return {"pid": pid, "rows": new.num_rows, "schema_json": schema_to_json(new.schema),
@@ -197,9 +198,10 @@ def make_delta_merger(
     ``inputs`` maps each pid to ``(committed file or None, delta files
     in path order)``, from the driver's manifest snapshot and its one
     listing of the delta files: a small dict captured in the task
-    closure, shipped once per task. ``key`` is the lake key and
-    ``views`` the maintained views, both passed to ``write_partition``.
+    closure, shipped once per task. ``key`` is the lake key, and each
+    merged file's footer gets the states of the ``views`` it is given.
     A failed merge names its epoch, partition and files."""
+    from .views import view_states
 
     def merge_pid(fsh, pid: int, old_path: str | None, files: list[str]) -> dict:
         old = fsh.read_parquet(old_path) if old_path is not None else None
@@ -231,7 +233,8 @@ def make_delta_merger(
         new = allt.take(lww_indices(allt))
         if extract_missing_text:
             new = _fill_text(new)
-        entry = write_partition(fsh, lake_dir, epoch, pid, old, new, key=key, views=views)
+        entry = write_partition(fsh, lake_dir, epoch, pid, new, key=key,
+                                views=view_states(new, views))
         return {**entry, "events": events,
                 "max_lsn": int(pa.compute.max(new.column("lsn")).as_py())}
 
@@ -378,24 +381,26 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
 
 
 def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],
-                        retain_history: bool, views: tuple = ()) -> int:
+                        retain_history: bool, views: tuple | None) -> int:
     """Rewrite every committed partition of ``man`` through ``rewrite``
-    into one new epoch and commit it, returning that epoch. Like a
-    replay epoch, it first clears a crashed attempt's view deltas. The
+    into one new epoch and commit it, returning that epoch. Each new
+    file's footer gets the states of ``views`` over its rows, or, with
+    ``views`` None, keeps the view states of the file it rewrites. The
     epoch applies no events and leaves the watermark where it is; each
     entry keeps its partition's previous ``max_lsn``, since a rewritten
     partition can end up empty. The commit record stores the bytes
     written as ``final_bytes``, as a replay epoch's does."""
-    from .views import clear_view_deltas
+    from .views import kept_view_states, view_states
 
     epoch = man.epoch + 1
-    clear_view_deltas(man.fsh, epoch)
     entries = []
     for pid_s, ent in man.partitions.items():
         pid = int(pid_s)
         old = man.fsh.read_parquet(man.fsh.join(ent["file"]))
-        entry = write_partition(man.fsh, man.lake_dir, epoch, pid, old, rewrite(old),
-                                key=man.key, views=views)
+        new = rewrite(old)
+        states = kept_view_states(old) if views is None else view_states(new, views)
+        entry = write_partition(man.fsh, man.lake_dir, epoch, pid, new,
+                                key=man.key, views=states)
         entries.append({**entry, "events": 0, "max_lsn": ent["max_lsn"]})
     if entries:
         man.commit_epoch(
@@ -411,8 +416,8 @@ def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
             retain_history: bool = False) -> dict[str, int]:
     """Compaction: rewrite partitions dropping delete tombstones with
     lsn < the horizon (default: the committed watermark). Takes the
-    writer lock, as ``replay`` does. Views need no delta: a tombstone is
-    never a live row.
+    writer lock, as ``replay`` does. Each file keeps its view states: a
+    tombstone is never a live row.
 
     SAFETY CONTRACT (documented per SURVEY.md §7.4 tombstone/resume
     interaction): dropping a tombstone is only safe when no future event
@@ -443,7 +448,7 @@ def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
             dropped += t.num_rows - out.num_rows
             return out
 
-        epoch = _rewrite_partitions(man, drop_dead_tombstones, retain_history)
+        epoch = _rewrite_partitions(man, drop_dead_tombstones, retain_history, None)
     return {"dropped_tombstones": dropped, "epoch": epoch}
 
 
@@ -457,22 +462,18 @@ def delete_where(lake_dir: str, where: list[list], *, retain_history: bool = Fal
     it deleted — a later CDC event with a newer version key still wins
     (the same semantics as deleteBy-then-index in the reference). Takes
     the writer lock, as ``replay`` does. ``views`` are the lake's
-    ``ReplayConfig.views``, whose deltas the epoch writes; a view under
-    ``_views/`` missing from them raises ValueError before any write."""
+    ``ReplayConfig.views``, whose states the rewritten files' footers
+    get; ``read_view`` recomputes a view left out from the rows."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     from ..sources.parquet import build_filter
     from ..state.manifest import Manifest
-    from .views import view_names
 
     if not where:
         raise ValueError("delete_where needs at least one condition")
     with writer_lock(lake_dir):
         man = Manifest.load(lake_dir)
-        missing = sorted(view_names(man.fsh) - {v.name for v in views})
-        if missing:
-            raise ValueError(f"delete_where: pass the ViewSpecs of the lake's views {missing}")
         flipped = 0
         expr = None
 

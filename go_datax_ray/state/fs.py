@@ -44,8 +44,8 @@ import pyarrow.parquet as pq
 @contextlib.contextmanager
 def writer_lock(lake_dir: str):
     """Exclusive lake writer flock — the single mutual-exclusion point
-    shared by replay, compact, delete_where, fold_view_deltas (each takes
-    it itself) and the CLI's gc commands (all of them rewrite epoch files
+    shared by replay, compact, delete_where (each takes it itself) and
+    the CLI's gc commands (all of them rewrite epoch files
     or the manifest, so any pair racing corrupts an in-flight commit).
     Non-blocking: a second holder fails fast. The OS releases the flock
     on crash, so a dead writer never wedges the lake. Remote (URI) lakes

@@ -67,7 +67,9 @@ class Manifest:
     partitions: dict[str, dict[str, Any]] = field(default_factory=dict)
     # placement metadata: which column keys the lake and how it hashes —
     # recorded so READERS can prune to hash partitions (point lookups
-    # touch 1 of P files instead of scanning the lake). ``None`` means
+    # touch 1 of P files instead of scanning the lake). The key places
+    # and looks up rows, as ES routing does; records are identified by
+    # url whatever it names (ReplayConfig.key). ``None`` means
     # UNKNOWN (a manifest written before these fields existed): readers
     # must fall back to scanning every committed file rather than prune
     # with a guessed hash, and the replay placement guard must not

@@ -5,7 +5,10 @@ ticker samples counters every sleepInterval and logs delta-based
 byteSpeed/recordSpeed every reportInterval
 (/root/reference/core/job/jobcontainer.go:117-121 defaults 10s/30s) —
 as a daemon thread polling the MetricsActor and emitting
-events/sec-per-partition lines (the BASELINE-required format)."""
+events/sec-per-partition lines (the BASELINE-required format). The CDC
+replay does not feed the actor: its speeds are in
+``ReplayResult.epoch_stats`` and in each commit record's per-partition
+``events`` (``lake_cli lineage``)."""
 
 from __future__ import annotations
 
@@ -18,8 +21,9 @@ import ray
 
 class SpeedReporter:
     """Poll the metrics actor on an interval; emit per-partition speed
-    lines via ``emit`` (default print). Use as a context manager around a
-    replay."""
+    lines via ``emit`` (default print). Use as a context manager around
+    a job whose stages increment the actor's ``partition/<p>/events``
+    counters."""
 
     def __init__(self, metrics_actor, *, report_interval_s: float = 30.0,
                  emit: Callable[[str], None] = print):

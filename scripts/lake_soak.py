@@ -12,13 +12,15 @@ match the oracle value per live url, and survive compaction; pre-v2
 as-of views must stay byte-stable.
 
 One maintained view (``by_lang``: rows and lsn sum per lang) rides the
-replays and delete_where, as a deployment's views would.
+even cycles' replays and delete_where, as a deployment's views would;
+the odd cycles replay without it, as a writer that omits a view does,
+so the view must stay exact through partitions that carry no state.
 
 Invariants checked every cycle:
 - final state == python LWW oracle (url, lsn, op; delete_where flips
   matching winners, compaction forgets dead tombstones entirely)
 - the view == a recompute from the final state after every replay,
-  delete_where and compaction
+  delete_where and compaction, and at a retained epoch after gc_history
 - compaction NEVER changes final state
 - every retained epoch's as-of view reproduces the digest recorded the
   moment it committed (time travel is stable under later maintenance)
@@ -31,6 +33,7 @@ Usage: python scripts/lake_soak.py [cycles] [events_per_cycle]
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -83,7 +86,7 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
         SynthEventSource,
         replay,
     )
-    from go_datax_ray.sinks.lake import compact, delete_where, read_lake_table
+    from go_datax_ray.sinks.lake import compact, delete_where, read_lake, read_lake_table
     from go_datax_ray.sinks.views import ViewSpec, read_view
     from go_datax_ray.state.manifest import Manifest
     from go_datax_ray.synth import EventGen, SynthConfig
@@ -98,6 +101,7 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
         lake_dir=lake, num_partitions=num_partitions,
         epoch_size=max(events_per_cycle // 2, 1), retain_history=True, views=views,
     )
+    cfg_without_views = dataclasses.replace(cfg, views=())
     gen = EventGen(scfg)
     gen_v2 = EventGen(scfg_v2)
 
@@ -134,12 +138,16 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
              "tombstones_dropped": 0, "asof_checks": 0,
              "evolution_checks": 0, "view_checks": 0}
 
-    def check_view(where: str) -> None:
-        """The maintained view equals a group-by over the final state."""
-        t = read_lake_table(lake).group_by(["lang"]).aggregate(
-            [("lsn", "sum"), ([], "count_all")])
+    def check_view(where: str, asof_epoch: int | None = None) -> None:
+        """The maintained view equals a group-by over the final state
+        (as of ``asof_epoch``)."""
+        t = (read_lake_table(lake) if asof_epoch is None else
+             pa.Table.from_pylist(read_lake(lake, asof_epoch=asof_epoch,
+                                            columns=["lang", "lsn"]).take_all()))
+        t = t.group_by(["lang"]).aggregate([("lsn", "sum"), ([], "count_all")])
         want = {r["lang"]: (r["count_all"], r["lsn_sum"]) for r in t.to_pylist()}
-        got = {r["lang"]: (r["n"], r["sum_lsn"]) for r in read_view(lake, views[0]).to_pylist()}
+        got = {r["lang"]: (r["n"], r["sum_lsn"])
+               for r in read_view(lake, views[0], asof_epoch=asof_epoch).to_pylist()}
         assert got == want, f"{where}: view != recompute"
         stats["view_checks"] += 1
 
@@ -162,7 +170,8 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
     for c in range(cycles):
         v2 = c >= evolve_at
         lo, total = total, total + events_per_cycle
-        replay(SynthEventSource(total, scfg_v2 if v2 else scfg), cfg)
+        replay(SynthEventSource(total, scfg_v2 if v2 else scfg),
+               cfg if c % 2 == 0 else cfg_without_views)
         apply_events(lo, total, v2=v2)
         man = Manifest.load(lake)
         got = _digest(_final(lake))
@@ -226,6 +235,8 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
                 f"gc_history broke retained epoch {ep}"
     # current state unaffected
     assert _digest(_final(lake)) == snapshots[eps[-1]]
+    oldest_kept = min(ep for ep in eps if ep > horizon)
+    check_view(f"epoch {oldest_kept} after gc_history", asof_epoch=oldest_kept)
 
     # -- orphan GC: plant uncommitted debris, remove exactly it ----------
     from go_datax_ray.state.fs import LakeFS

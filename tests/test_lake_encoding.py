@@ -2,9 +2,9 @@
 keeps are zstd and the intra-epoch delta files lz4. Kept files carry
 min/max statistics on every column but the ``large_binary`` and
 ``large_string`` payload columns, and always on the lake key; delta
-files carry none. Checked on the column chunks of the delta files, the
-partition files of a replay, ``compact`` and ``delete_where``, and the
-view delta and base files."""
+files carry none. Checked on the column chunks of the delta files and
+the partition files of a replay with a view, ``compact`` and
+``delete_where``."""
 
 import glob
 import os
@@ -16,13 +16,13 @@ import pytest
 from go_datax_ray.pipelines.cdc_replay import (
     DatasetEventSource, ReplayConfig, SynthEventSource, replay)
 from go_datax_ray.sinks.lake import compact, delete_where, lookup, read_lake_table
-from go_datax_ray.sinks.views import ViewSpec, fold_view_deltas
+from go_datax_ray.sinks.views import ViewSpec
 from go_datax_ray.state.fs import LakeFS
 from go_datax_ray.state.manifest import Manifest
 from go_datax_ray.synth import EventGen, SynthConfig
 
 SPEC = ViewSpec(name="by_lang", group_cols=("lang",))
-KINDS = ("_delta", "part-", "delta-e", "base-e")
+KINDS = ("_delta", "part-")
 
 
 def _chunks(path: str):
@@ -43,8 +43,7 @@ def _min_max_columns(path: str) -> set[str]:
 @pytest.fixture(scope="module")
 def lake_files(ray_session, tmp_path_factory):
     """Every Parquet file of a lake that kept its delta files, by kind:
-    replay with a view, view fold, more replay, ``compact``,
-    ``delete_where``."""
+    replay with a view, more replay, ``compact``, ``delete_where``."""
     lake = str(tmp_path_factory.mktemp("encoding") / "lake")
     with pytest.MonkeyPatch.context() as mp:
         # keep each epoch's delta files: the replay deletes them after the merge
@@ -52,8 +51,7 @@ def lake_files(ray_session, tmp_path_factory):
         cfg = ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000,
                            views=(SPEC,))
         replay(SynthEventSource(2000, SynthConfig(seed=3, n_urls=300)), cfg)
-        fold_view_deltas(lake, SPEC)  # a view base file
-        replay(SynthEventSource(3000, SynthConfig(seed=3, n_urls=300)), cfg)  # view deltas on top
+        replay(SynthEventSource(3000, SynthConfig(seed=3, n_urls=300)), cfg)
     compact(lake, retain_history=True)
     delete_where(lake, [["lang", "=", "en"]], retain_history=True, views=(SPEC,))
 
@@ -83,8 +81,6 @@ def test_kept_files_have_statistics_but_on_payload_columns(lake_files):
         assert {"html", "text"} <= names, f
         assert _min_max_columns(f) == names - {"html", "text"}, f
         assert {"url", "lsn", "op", "warc_ts"} <= _min_max_columns(f), f
-    for f in lake_files["delta-e"] + lake_files["base-e"]:
-        assert _min_max_columns(f) == set(pq.read_schema(f).names), f
 
 
 def test_delta_files_have_no_statistics(lake_files):

@@ -367,6 +367,29 @@ def test_read_lake_point_lookup_prunes_partitions(tmp_path):
     assert lookup(lake, keys).sort_by("url").equals(want.sort_by("url"))
 
 
+def test_key_places_rows_and_url_identifies_them(tmp_path):
+    """``ReplayConfig.key`` places and looks up rows (ES routing); LWW
+    identifies records by url. Two events for doc ``d1`` under urls
+    ``u1`` and ``u2`` stay two rows, both in d1's partition."""
+    import ray.data as rd
+
+    from go_datax_ray.sinks.lake import lookup
+
+    events = pa.table({
+        "url": ["u1", "u2"], "doc": ["d1", "d1"],
+        "lsn": pa.array([0, 1], pa.int64()),
+        "warc_ts": pa.array([0, 0], pa.timestamp("us")),
+        "op": ["I", "I"],
+    })
+    lake = str(tmp_path / "lake")
+    replay(DatasetEventSource(rd.from_arrow(events), 0, 2),
+           ReplayConfig(lake_dir=lake, num_partitions=2, key="doc"))
+    assert read_lake_table(lake).column("url").to_pylist() == ["u1", "u2"]
+    got = lookup(lake, ["d1"]).sort_by("url")
+    assert got.column("url").to_pylist() == ["u1", "u2"]
+    assert got.column("doc").to_pylist() == ["d1", "d1"]
+
+
 def test_lake_cli_get_point_lookup(tmp_path, capsys):
     """lake_cli get: manifest-pruned point lookup, no Ray session,
     tombstones filtered, binary columns summarised."""

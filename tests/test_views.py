@@ -1,7 +1,8 @@
-"""Incremental aggregate views (sinks/views.py): per-epoch delta
-maintenance inside the partition merge must equal a full recompute from
-the lake's final state after every replay — including resume, no-op
-re-runs, deletes, and time travel."""
+"""Aggregate views (sinks/views.py): the view states the partition
+files carry in their footers must sum to a full recompute from the
+lake's final state after every replay — including resume, no-op
+re-runs, deletes, compaction, writers not given the view, and time
+travel."""
 
 import shutil
 
@@ -14,7 +15,7 @@ from go_datax_ray.pipelines.cdc_replay import (
     replay,
 )
 from go_datax_ray.sinks.lake import read_lake_table
-from go_datax_ray.sinks.views import ViewSpec, partition_view_delta, read_view
+from go_datax_ray.sinks.views import ViewSpec, read_view, view_states
 from go_datax_ray.synth import SynthConfig
 
 
@@ -79,10 +80,21 @@ def test_view_time_travel(tmp_path):
     assert _view(lake, asof_epoch=e1) == asof
 
 
-def test_partition_view_delta_update_and_delete():
-    """Hand-built old/new states: an update that MOVES a row across
-    groups must emit -1/+1; a delete emits -1; sums follow."""
+def test_partition_view_state_update_and_delete(tmp_path):
+    """One partition written twice by ``write_partition``: the second
+    file's footer holds the state of its own live rows only. An update
+    that MOVES a row across groups leaves its old group; a delete drops
+    its row; sums follow. Metadata read back with a file never leaks."""
+    import pyarrow.parquet as pq
+
+    from go_datax_ray.sinks.lake import write_partition
+    from go_datax_ray.sinks.views import footer_state
+    from go_datax_ray.state.fs import LakeFS
+    from go_datax_ray.state.manifest import final_path
+
     spec = ViewSpec(name="s", group_cols=("lang",), sum_cols=("b",))
+    lake = str(tmp_path / "lake")
+    fsh = LakeFS(lake)
     old = pa.table({
         "op": ["U", "U", "U"],
         "lang": ["en", "en", "de"],
@@ -93,10 +105,20 @@ def test_partition_view_delta_update_and_delete():
         "lang": ["en", "fr", None],
         "b": pa.array([10, 21, None], pa.int64()),
     })
-    d = partition_view_delta(old, new, spec)
-    got = {r["lang"]: (r["n"], r["sum_b"]) for r in d.to_pylist()}
-    # en: 2->1 (-1, -20); de: 1->0 (deleted); fr: 0->1 (+1, +21)
-    assert got == {"en": (-1, -20), "de": (-1, -30), "fr": (1, 21)}
+
+    def state(epoch: int) -> dict:
+        md = pq.read_metadata(final_path(lake, 0, epoch)).metadata
+        return {r["lang"]: (r["n"], r["sum_b"]) for r in footer_state(md, spec).to_pylist()}
+
+    write_partition(fsh, lake, 0, 0, old, key=None, views=view_states(old, (spec,)))
+    assert state(0) == {"en": (2, 30), "de": (1, 30)}
+    # the new rows as a rewrite sees them: with the old file's metadata
+    new = new.replace_schema_metadata(fsh.read_parquet(final_path(lake, 0, 0)).schema.metadata)
+    write_partition(fsh, lake, 1, 0, new, key=None, views=view_states(new, (spec,)))
+    # en: 2->1 (10); de: deleted; fr: 0->1 (21)
+    assert state(1) == {"en": (1, 10), "fr": (1, 21)}
+    write_partition(fsh, lake, 2, 0, new, key=None, views={})
+    assert pq.read_metadata(final_path(lake, 0, 2)).metadata.keys() == {b"ARROW:schema"}
 
 
 def test_view_empty_lake_returns_empty():
@@ -109,55 +131,21 @@ def test_view_empty_lake_returns_empty():
     assert v.column_names == ["lang", "n", "sum_text_len"]
 
 
-def test_fold_view_deltas(tmp_path):
-    """Folding compacts committed deltas into one base; the view is
-    unchanged, new epochs keep accumulating on top, and a second fold
-    absorbs the prior base."""
-    from go_datax_ray.sinks.views import fold_view_deltas
+def _plant_uncommitted_file(lake: str, epoch: int) -> None:
+    """A crashed epoch's partition 0 file: written, never committed,
+    its footer holding a bogus ``zz`` group."""
+    from go_datax_ray.sinks.lake import write_partition
+    from go_datax_ray.state.fs import LakeFS
 
-    lake = str(tmp_path / "lake")
-    cfg = ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=2000,
-                       views=(SPEC,))
-    replay(SynthEventSource(6000, SynthConfig(n_urls=500)), cfg)
-    before = _view(lake)
-    res = fold_view_deltas(lake, SPEC)
-    assert res["folded"] > 0
-    assert _view(lake) == before == _recompute(lake)
-    # new epochs on top of the base
-    replay(SynthEventSource(10000, SynthConfig(n_urls=500)), cfg)
-    assert _view(lake) == _recompute(lake)
-    res2 = fold_view_deltas(lake, SPEC)
-    assert res2["base_epoch"] > res["base_epoch"]
-    assert _view(lake) == _recompute(lake)
-    # asof below the folded base must raise (granularity gone)
-    import pytest
-
-    with pytest.raises(ValueError):
-        read_view(lake, SPEC, asof_epoch=0)
-
-
-def test_fold_view_cli(tmp_path):
-    """CLI fold-view (no derive needed — measures already live in the
-    delta files) matches the API result."""
-    from go_datax_ray.lake_cli import main as cli
-
-    lake = str(tmp_path / "lake")
-    cfg = ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=2000,
-                       views=(SPEC,))
-    replay(SynthEventSource(4000, SynthConfig(n_urls=400)), cfg)
-    before = _view(lake)
-    rc = cli(["fold-view", lake, "--view", "lang_stats",
-              "--group-cols", "lang", "--sum-cols", "text_len"])
-    assert rc == 0
-    assert _view(lake) == before
+    fake_new = pa.table({"op": ["U"], "lang": ["zz"], "text": ["x" * 10]})
+    write_partition(LakeFS(lake), lake, epoch, 0, fake_new, key="url",
+                    views=view_states(fake_new, (SPEC,)))
 
 
 def test_uncommitted_epoch_deltas_invisible(tmp_path):
-    """Deltas written for an epoch the manifest never committed (crashed
-    epoch) must not appear in read_view — visibility rides the manifest,
-    exactly like data files."""
-    from go_datax_ray.sinks.views import write_view_deltas
-    from go_datax_ray.state.fs import LakeFS
+    """The footer state of a partition file the manifest never committed
+    (crashed epoch) must not appear in read_view — visibility rides the
+    manifest, exactly like data files."""
     from go_datax_ray.state.manifest import Manifest
 
     lake = str(tmp_path / "lake")
@@ -165,14 +153,8 @@ def test_uncommitted_epoch_deltas_invisible(tmp_path):
                        views=(SPEC,))
     replay(SynthEventSource(4000, SynthConfig(n_urls=400)), cfg)
     before = _view(lake)
-    # simulate a crashed epoch: delta files exist, manifest never moved
-    crashed_epoch = Manifest.load(lake).epoch + 1
-    fake_new = pa.table({
-        "op": ["U"], "lang": ["zz"],
-        "text": ["x" * 10],
-    })
-    write_view_deltas(LakeFS(lake), (SPEC,), None, fake_new,
-                      crashed_epoch, 0)
+    # simulate a crashed epoch: its file exists, the manifest never moved
+    _plant_uncommitted_file(lake, Manifest.load(lake).epoch + 1)
     assert _view(lake) == before  # zz never appears
     assert "zz" not in _view(lake)
 
@@ -254,57 +236,30 @@ def _lake_files(lake: str) -> dict:
     return out
 
 
-def test_delete_where_refuses_a_view_it_was_not_given(tmp_path):
-    """Without the lake's views, delete_where raises before it writes
-    anything, naming each missing view; the CLI, which cannot pass a
-    ``derive`` hook, refuses too."""
-    import pytest
-
-    from go_datax_ray.lake_cli import main as cli
-    from go_datax_ray.sinks.lake import delete_where
-
-    spec2 = ViewSpec(name="op_counts", group_cols=("lang", "op"))
-    lake = str(tmp_path / "lake")
-    replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
-           ReplayConfig(lake_dir=lake, num_partitions=4, views=(SPEC, spec2)))
-    before = _lake_files(lake)
-    with pytest.raises(ValueError, match=r"\['lang_stats', 'op_counts'\]"):
-        delete_where(lake, [["lang", "=", "en"]])
-    with pytest.raises(ValueError, match=r"\['op_counts'\]"):
-        delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))
-    with pytest.raises(SystemExit):
-        cli(["delete-where", lake, "--where", '[["lang","=","en"]]'])
-    assert _lake_files(lake) == before
-
-
 def test_compaction_epoch_hides_a_crashed_attempts_view_delta(tmp_path):
-    """A compaction commits the epoch a crashed replay attempt wrote view
-    deltas for; it clears them first, as a replay retry does, so they
-    never become visible."""
+    """A compaction commits the epoch a crashed replay attempt wrote a
+    partition file for; it overwrites that file with the committed
+    partition's rows and view state, so the bogus state never becomes
+    visible."""
     from go_datax_ray.sinks.lake import compact
-    from go_datax_ray.sinks.views import write_view_deltas
-    from go_datax_ray.state.fs import LakeFS
     from go_datax_ray.state.manifest import Manifest
 
     lake = str(tmp_path / "lake")
     replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
            ReplayConfig(lake_dir=lake, num_partitions=4, views=(SPEC,)))
     crashed_epoch = Manifest.load(lake).epoch + 1
-    write_view_deltas(LakeFS(lake), (SPEC,), None,
-                      pa.table({"op": ["U"], "lang": ["zz"], "text": ["x"]}),
-                      crashed_epoch, 0)
+    _plant_uncommitted_file(lake, crashed_epoch)
     assert compact(lake)["epoch"] == crashed_epoch
     assert "zz" not in _view(lake)
     assert _view(lake) == _recompute(lake)
 
 
 def test_maintenance_ops_take_the_writer_lock(tmp_path):
-    """compact, delete_where and fold_view_deltas fail fast while
-    another job holds the writer lock, and change nothing."""
+    """compact and delete_where fail fast while another job holds the
+    writer lock, and change nothing."""
     import pytest
 
     from go_datax_ray.sinks.lake import compact, delete_where
-    from go_datax_ray.sinks.views import fold_view_deltas
     from go_datax_ray.state.fs import writer_lock
 
     lake = str(tmp_path / "lake")
@@ -313,8 +268,7 @@ def test_maintenance_ops_take_the_writer_lock(tmp_path):
                         views=(SPEC,)))
     before = _lake_files(lake)
     ops = [lambda: compact(lake),
-           lambda: delete_where(lake, [["lang", "=", "en"]], views=(SPEC,)),
-           lambda: fold_view_deltas(lake, SPEC)]
+           lambda: delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))]
     with writer_lock(lake):  # an in-flight replay
         for op in ops:
             with pytest.raises(RuntimeError, match="another job holds the lake writer lock"):
@@ -323,4 +277,88 @@ def test_maintenance_ops_take_the_writer_lock(tmp_path):
     # once the lock is free, each runs
     assert compact(lake)["epoch"] == 3
     assert delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))["epoch"] == 4
-    assert fold_view_deltas(lake, SPEC)["base_epoch"] == 4
+
+
+def test_replay_without_views_leaves_the_view_exact(tmp_path):
+    """A continuation replayed without the lake's view writes files
+    without its state; read_view recomputes those partitions."""
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=3000, views=(SPEC,))
+    replay(SynthEventSource(3000, SynthConfig(n_urls=600)), cfg)
+    replay(SynthEventSource(6000, SynthConfig(n_urls=600)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=3000))
+    assert _view(lake) == _recompute(lake)
+    # a later replay with the view writes its state again
+    replay(SynthEventSource(9000, SynthConfig(n_urls=600)), cfg)
+    assert _view(lake) == _recompute(lake)
+
+
+def test_view_first_passed_on_a_later_replay(tmp_path):
+    """A view first given to the second replay covers the rows the first
+    replay committed too."""
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(n_urls=600)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=3000))
+    replay(SynthEventSource(6000, SynthConfig(n_urls=600)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=3000, views=(SPEC,)))
+    assert _view(lake) == _recompute(lake)
+
+
+def test_delete_where_without_views_leaves_the_view_exact(tmp_path):
+    """delete_where and ``lake_cli delete-where``, which cannot pass a
+    ``derive`` hook, run on a lake with views; the view stays exact."""
+    from go_datax_ray.lake_cli import main as cli
+    from go_datax_ray.sinks.lake import delete_where
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, views=(SPEC,)))
+    assert delete_where(lake, [["lang", "=", "en"]])["deleted"] > 0
+    assert "en" not in _view(lake)
+    assert _view(lake) == _recompute(lake)
+    assert cli(["delete-where", lake, "--where", '[["lang","=","de"]]']) == 0
+    assert "de" not in _view(lake)
+    assert _view(lake) == _recompute(lake)
+
+
+def test_compact_keeps_every_files_view_state(tmp_path, monkeypatch):
+    """compact is not given the views; each file it writes keeps the
+    state of the file it rewrote, so read_view recomputes no partition
+    from its rows."""
+    import pyarrow.parquet as pq
+
+    from go_datax_ray.sinks import views
+    from go_datax_ray.sinks.lake import compact, delete_where
+    from go_datax_ray.state.manifest import Manifest
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
+           ReplayConfig(lake_dir=lake, num_partitions=4, views=(SPEC,)))
+    delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))  # tombstones to drop
+    assert compact(lake)["dropped_tombstones"] > 0
+    for f in Manifest.load(lake).committed_files():
+        assert views.footer_state(pq.read_metadata(f).metadata, SPEC) is not None, f
+    calls = []
+    local_agg = views._local_agg
+    monkeypatch.setattr(views, "_local_agg", lambda *a: calls.append(a) or local_agg(*a))
+    got = _view(lake)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == _recompute(lake)
+
+
+def test_lake_written_before_footer_state_reads_its_view(tmp_path):
+    """A lake from before footer state: files without view state and
+    per-epoch delta files under ``_views/``. read_view recomputes the
+    files and ignores the leftover delta files."""
+    import pyarrow.parquet as pq
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
+           ReplayConfig(lake_dir=lake, num_partitions=4))
+    leftover = tmp_path / "lake" / "_views" / "lang_stats" / "delta-e000000-p00000.parquet"
+    leftover.parent.mkdir(parents=True)
+    pq.write_table(pa.table({"lang": ["zz"], "n": pa.array([5], pa.int64()),
+                             "sum_text_len": pa.array([50], pa.int64())}), leftover)
+    assert "zz" not in _view(lake)
+    assert _view(lake) == _recompute(lake)
