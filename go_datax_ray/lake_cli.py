@@ -9,15 +9,15 @@
     python -m go_datax_ray.lake_cli gc-history LAKE_DIR --keep-after N
     python -m go_datax_ray.lake_cli delete-where LAKE_DIR --where '[["col","op",value],...]'
 
-Owns its own Ray session (only for ``count``); every other command is
-pure manifest/filesystem work. ``get`` prints the keys' live rows, one
-JSON line each, from one driver-side ``sinks.lake.lookup`` scan of the
-partitions they hash to. LAKE_DIR may be a local path or any
-fsspec URI (file://, s3://, ...).
+No command starts a Ray session: each is manifest and filesystem work
+on the driver. ``count`` counts live rows with the lake's one read plan
+(``sinks.lake._read_plan``), and ``get`` prints the keys' live rows, one
+JSON line each, from one ``sinks.lake.lookup`` scan of the partitions
+they hash to. LAKE_DIR may be a local path or any fsspec URI (file://,
+s3://, ...).
 
-Every command that changes the lake holds the replay's writer lock:
-``compact`` and ``delete_where`` take it themselves, and the CLI takes
-it for the gc commands, which run on a loaded ``Manifest``.
+Every command that changes the lake calls a ``sinks.lake`` function
+that holds the replay's writer lock and loads the manifest inside it.
 ``delete-where`` works on lakes with views: it cannot pass their
 ``ViewSpec``s, so the files it rewrites carry no view state and
 ``read_view`` recomputes those partitions from their rows.
@@ -63,18 +63,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "count":
-        import ray
+        from .sinks.lake import _read_plan, _scanner
 
-        if not ray.is_initialized():
-            ray.init(address="local", include_dashboard=False, logging_level="ERROR")
-        from ray.data import DataContext
-
-        DataContext.get_current().enable_progress_bars = False
-        from .sinks.lake import read_lake
-
-        n = read_lake(args.lake_dir, asof_epoch=args.asof_epoch).count()
+        pafs, files, schema, expr = _read_plan(args.lake_dir, asof_epoch=args.asof_epoch)
+        n = _scanner(pafs, files, schema, expr).count_rows() if files else 0
         print(json.dumps({"rows": n, "asof_epoch": args.asof_epoch}))
-        ray.shutdown()
         return 0
 
     if args.cmd == "get":
@@ -111,22 +104,18 @@ def main(argv: list[str] | None = None) -> int:
             p.error(str(e))
         return 0
 
-    # The gc commands load the manifest inside the lock: one loaded
-    # before it misses the epochs a replay commits in between, and
-    # gc-orphans would delete their live files.
-    from .state.fs import writer_lock
-
     if args.cmd == "gc-orphans":
-        with writer_lock(args.lake_dir):
-            print(json.dumps({"removed": Manifest.load(args.lake_dir).gc_orphans()}))
+        from .sinks.lake import gc_orphans
+
+        print(json.dumps({"removed": gc_orphans(args.lake_dir)}))
         return 0
 
     if args.cmd == "gc-history":
         if args.keep_after is None:
             p.error("gc-history requires --keep-after")
-        with writer_lock(args.lake_dir):
-            man = Manifest.load(args.lake_dir)
-            print(json.dumps({"removed": man.gc_history(args.keep_after)}))
+        from .sinks.lake import gc_history
+
+        print(json.dumps({"removed": gc_history(args.lake_dir, args.keep_after)}))
         return 0
 
     return 1

@@ -37,6 +37,7 @@ which is idempotent (deterministic tmp names + LWW + manifest gate).
 
 from __future__ import annotations
 
+import functools
 import posixpath
 import time
 from dataclasses import dataclass, field
@@ -291,7 +292,7 @@ class ReplayConfig:
     extract_text: bool = False
     # Keep superseded partition files so any committed epoch remains
     # readable (read_lake(asof_epoch=...) time travel — the ES alias-swap
-    # analogue); GC old views later with Manifest.gc_history().
+    # analogue); GC old views later with sinks.lake.gc_history().
     retain_history: bool = False
     # Maintained aggregate views (sinks.views.ViewSpec): the merge writes
     # each view's aggregate of a partition's new rows, already in memory
@@ -417,10 +418,8 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig) -> ReplayResult:
         # advances — else a tail/rerun would reprocess it forever
         schema_json = man.schema_json or ""
         if entries:
-            sch = schema_from_json(schema_json or entries[0]["schema_json"])
-            for e in entries:
-                sch = evolve(sch, schema_from_json(e["schema_json"]))
-            schema_json = schema_to_json(sch)
+            jsons = ([schema_json] if schema_json else []) + [e["schema_json"] for e in entries]
+            schema_json = schema_to_json(functools.reduce(evolve, map(schema_from_json, jsons)))
         t_commit = time.perf_counter()
         man.commit_epoch(
             epoch,

@@ -54,6 +54,7 @@ once on the driver (``_scan``), without a Ray Data plan.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from typing import Callable
 
@@ -63,7 +64,7 @@ import pyarrow as pa
 from ..schema import conform, evolve
 from ..stages.lww import lww_indices
 from ..state.fs import LakeFS, writer_lock
-from ..state.manifest import final_path
+from ..state.manifest import Manifest, final_path
 
 # Readable manifest spellings of the common column types. Any other
 # Arrow type is spelled as its one-field Arrow IPC schema in base64,
@@ -204,32 +205,23 @@ def make_delta_merger(
     from .views import view_states
 
     def merge_pid(fsh, pid: int, old_path: str | None, files: list[str]) -> dict:
-        old = fsh.read_parquet(old_path) if old_path is not None else None
-        parts = [fsh.read_parquet(f) for f in files]
-        target = parts[0].schema
-        for p in parts[1:]:
-            target = evolve(target, p.schema)
+        deltas = [fsh.read_parquet(f) for f in files]
         # events = RAW event count: the combiner rolls superseded rows'
         # counts into winners (_n_ev), so this is deterministic per
         # (epoch, partition) regardless of batch structure
-        events = 0
-        for p in parts:
-            events += (int(pa.compute.sum(p.column("_n_ev")).as_py() or 0)
-                       if "_n_ev" in p.column_names else p.num_rows)
-        new_schema = pa.schema(
-            [f for f in target if f.name != "_n_ev"]
-        ).append(pa.field("part_id", pa.int64()))
-        t2 = evolve(old.schema, new_schema) if old is not None else new_schema
-        # old first, then delta files in sorted order: the stable sort
-        # lets the committed copy win exact ties; winners come back in
-        # url order, so the file content is byte-deterministic
-        sources = [conform(old, t2)] if old is not None else []
-        for p in parts:
-            if "_n_ev" in p.column_names:
-                p = p.drop_columns(["_n_ev"])
-            p = p.append_column("part_id", pa.array(np.full(p.num_rows, pid), pa.int64()))
-            sources.append(conform(p, t2))
-        allt = pa.concat_tables(sources)
+        events = pa.compute.sum(pa.chunked_array([d.column("_n_ev") for d in deltas])).as_py()
+        # old first, then delta files in path order: the stable sort lets
+        # the committed copy win exact ties; winners come back in url
+        # order, so the file content is byte-deterministic
+        sources = ([fsh.read_parquet(old_path)] if old_path is not None else []) + [
+            d.drop_columns(["_n_ev"]) for d in deltas]
+        schema = functools.reduce(evolve, [s.schema for s in sources])
+        if "part_id" not in schema.names:
+            schema = schema.append(pa.field("part_id", pa.int64()))
+        allt = pa.concat_tables([conform(s, schema) for s in sources])
+        # delta files lost part_id to their directories; old rows hold pid
+        allt = allt.set_column(schema.get_field_index("part_id"), schema.field("part_id"),
+                               pa.array(np.full(allt.num_rows, pid), pa.int64()))
         new = allt.take(lww_indices(allt))
         if extract_missing_text:
             new = _fill_text(new)
@@ -263,11 +255,9 @@ def _read_plan(lake_dir: str, *, final_state: bool = True,
     """The lake's one read plan: ``(pyarrow filesystem, files, committed
     schema, filter)``, the filter being ONE pyarrow expression (or None)
     for the scan to push down."""
-    import functools
     import operator
 
     from ..sources.parquet import build_filter
-    from ..state.manifest import Manifest
 
     man = Manifest.load(lake_dir)
     schema = schema_from_json(man.schema_json) if man.schema_json else None
@@ -382,14 +372,15 @@ def read_lake(lake_dir: str, *, columns: list[str] | None = None, final_state: b
 
 def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],
                         retain_history: bool, views: tuple | None) -> int:
-    """Rewrite every committed partition of ``man`` through ``rewrite``
-    into one new epoch and commit it, returning that epoch. Each new
-    file's footer gets the states of ``views`` over its rows, or, with
-    ``views`` None, keeps the view states of the file it rewrites. The
-    epoch applies no events and leaves the watermark where it is; each
-    entry keeps its partition's previous ``max_lsn``, since a rewritten
-    partition can end up empty. The commit record stores the bytes
-    written as ``final_bytes``, as a replay epoch's does."""
+    """Rewrite the partitions of ``man`` that ``rewrite`` changes (it
+    returns its input when it changes no row) into one new epoch, commit
+    it and return it; with no change, commit nothing and return
+    ``man.epoch``. Each new file's footer gets the states of ``views``
+    over its rows, or, with ``views`` None, keeps the view states of the
+    file it rewrites. The epoch applies no events and leaves the
+    watermark where it is; each entry keeps its partition's previous
+    ``max_lsn``, since a rewritten partition can end up empty. The
+    commit record stores the bytes written as ``final_bytes``."""
     from .views import kept_view_states, view_states
 
     epoch = man.epoch + 1
@@ -398,26 +389,29 @@ def _rewrite_partitions(man, rewrite: Callable[[pa.Table], pa.Table],
         pid = int(pid_s)
         old = man.fsh.read_parquet(man.fsh.join(ent["file"]))
         new = rewrite(old)
+        if new is old:
+            continue
         states = kept_view_states(old) if views is None else view_states(new, views)
         entry = write_partition(man.fsh, man.lake_dir, epoch, pid, new,
                                 key=man.key, views=states)
         entries.append({**entry, "events": 0, "max_lsn": ent["max_lsn"]})
-    if entries:
-        man.commit_epoch(
-            epoch, lsn_lo=man.watermark_lsn, lsn_hi=man.watermark_lsn,
-            entries=entries, schema_json=man.schema_json or "", wall_s=0.0,
-            retain_history=retain_history,
-            phases={"final_bytes": sum(e["bytes"] for e in entries)},
-        )
+    if not entries:
+        return man.epoch
+    man.commit_epoch(
+        epoch, lsn_lo=man.watermark_lsn, lsn_hi=man.watermark_lsn,
+        entries=entries, schema_json=man.schema_json or "", wall_s=0.0,
+        retain_history=retain_history,
+        phases={"final_bytes": sum(e["bytes"] for e in entries)},
+    )
     return epoch
 
 
 def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
             retain_history: bool = False) -> dict[str, int]:
-    """Compaction: rewrite partitions dropping delete tombstones with
-    lsn < the horizon (default: the committed watermark). Takes the
-    writer lock, as ``replay`` does. Each file keeps its view states: a
-    tombstone is never a live row.
+    """Compaction: rewrite the partitions holding delete tombstones with
+    lsn < the horizon (default: the committed watermark) without them.
+    Takes the writer lock, as ``replay`` does. Each file keeps its view
+    states: a tombstone is never a live row.
 
     SAFETY CONTRACT (documented per SURVEY.md §7.4 tombstone/resume
     interaction): dropping a tombstone is only safe when no future event
@@ -429,8 +423,6 @@ def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
     tmp -> commit_epoch path, so it is atomic and resumable; with
     ``retain_history`` time travel spans the compaction."""
     import pyarrow.compute as pc
-
-    from ..state.manifest import Manifest
 
     with writer_lock(lake_dir):
         man = Manifest.load(lake_dir)
@@ -446,7 +438,7 @@ def compact(lake_dir: str, *, drop_tombstones_below_lsn: int | None = None,
             )
             out = t.filter(pc.invert(pc.fill_null(is_dead_tomb, False)))
             dropped += t.num_rows - out.num_rows
-            return out
+            return out if out.num_rows < t.num_rows else t
 
         epoch = _rewrite_partitions(man, drop_dead_tombstones, retain_history, None)
     return {"dropped_tombstones": dropped, "epoch": epoch}
@@ -457,18 +449,18 @@ def delete_where(lake_dir: str, where: list[list], *, retain_history: bool = Fal
     """ES deleteByConditions analogue (elasticsearch_writer.go:1257-1286):
     flip every committed row matching the ``where`` conjunction
     ([["col", op, value], ...], the parquet-reader filter grammar) to a
-    delete tombstone, in one atomically-committed epoch. Rows keep their
-    own (warc_ts, lsn), so the delete is exactly as durable as the state
-    it deleted — a later CDC event with a newer version key still wins
-    (the same semantics as deleteBy-then-index in the reference). Takes
-    the writer lock, as ``replay`` does. ``views`` are the lake's
-    ``ReplayConfig.views``, whose states the rewritten files' footers
-    get; ``read_view`` recomputes a view left out from the rows."""
+    delete tombstone, in one atomically-committed epoch of the partitions
+    holding a match. Rows keep their own (warc_ts, lsn), so the delete is
+    exactly as durable as the state it deleted — a later CDC event with a
+    newer version key still wins (the same semantics as deleteBy-then-index
+    in the reference). Takes the writer lock, as ``replay`` does.
+    ``views`` are the lake's ``ReplayConfig.views``, whose states the
+    rewritten files' footers get; ``read_view`` recomputes a view left
+    out from the rows."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     from ..sources.parquet import build_filter
-    from ..state.manifest import Manifest
 
     if not where:
         raise ValueError("delete_where needs at least one condition")
@@ -496,6 +488,20 @@ def delete_where(lake_dir: str, where: list[list], *, retain_history: bool = Fal
 
         epoch = _rewrite_partitions(man, flip_matches, retain_history, views)
     return {"deleted": flipped, "epoch": epoch}
+
+
+def gc_orphans(lake_dir: str) -> int:
+    """``Manifest._gc_orphans`` under the writer lock, on a manifest
+    loaded inside it: an in-flight epoch's merge outputs are unreferenced
+    until it commits, as are the epochs a stale manifest missed."""
+    with writer_lock(lake_dir):
+        return Manifest.load(lake_dir)._gc_orphans()
+
+
+def gc_history(lake_dir: str, keep_epochs_after: int) -> int:
+    """``Manifest._gc_history`` under the writer lock, as ``gc_orphans``."""
+    with writer_lock(lake_dir):
+        return Manifest.load(lake_dir)._gc_history(keep_epochs_after)
 
 
 def read_lake_table(lake_dir: str, *, final_state: bool = True) -> pa.Table:

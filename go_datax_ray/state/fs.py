@@ -2,10 +2,10 @@
 
 Every lake, plain path or URI, goes through one pair of filesystems:
 fsspec's (``url_to_fs``; ``LocalFileSystem`` for plain paths) for file
-operations and a pyarrow one for Parquet I/O (pyarrow's native
-``LocalFileSystem`` for plain paths, an ``FSSpecHandler`` over the fsspec
-one otherwise). So ``file://``, ``s3://``, ``webhdfs://``, ``memory://``
-and plain paths share one code path, and the local tests exercise what
+operations and whole-file reads, and a pyarrow one for Parquet writes
+and scans (pyarrow's native ``LocalFileSystem`` for plain paths, an
+``FSSpecHandler`` over the fsspec one otherwise). So ``file://``, ``s3://``,
+``webhdfs://``, ``memory://`` and plain paths share one code path, and the local tests exercise what
 remote lakes run. The data plane needs NO renames (content-addressed
 epoch files, manifest-decided visibility).
 
@@ -37,6 +37,7 @@ import posixpath
 from typing import Any, Iterable
 
 import fsspec
+import pyarrow as pa
 import pyarrow.fs
 import pyarrow.parquet as pq
 
@@ -249,7 +250,8 @@ class LakeFS:
 
     # -- Arrow interop ---------------------------------------------------
     def read_parquet(self, p: str, columns: list[str] | None = None):
-        return pq.read_table(p, columns=columns, filesystem=self.pafs)
+        """``p`` read as one object: one GET, and no HEAD, on object stores."""
+        return pq.read_table(pa.BufferReader(self.fs.cat_file(p)), columns=columns)
 
     def write_parquet(self, table: Any, p: str, **kwargs: Any) -> int:
         """Write ``table`` to ``p``, creating its parent directory, and

@@ -246,7 +246,7 @@ class Manifest:
         self._save_atomic()
         # superseded partition files are garbage once the manifest moved on
         # — unless history retention is on (time-travel reads via the
-        # commit records; GC them later with gc_history())
+        # commit records; GC them later with sinks.lake.gc_history())
         if not retain_history:
             self.fsh.remove_many(old_files)  # best-effort: failures are left
         return True
@@ -334,7 +334,7 @@ class Manifest:
             )
         return out
 
-    def gc_history(self, keep_epochs_after: int) -> int:
+    def _gc_history(self, keep_epochs_after: int) -> int:
         """Delete retained history files not referenced by the CURRENT
         state or by the as-of view of any retained epoch (> horizon).
         A file written long ago but still current at a retained epoch
@@ -351,15 +351,14 @@ class Manifest:
         stale = [self.fsh.join(rel) for rel in sorted(all_files - needed)]
         return len(stale) - len(self.fsh.remove_many(stale))  # best-effort
 
-    def gc_orphans(self) -> int:
+    def _gc_orphans(self) -> int:
         """Remove UNREFERENCED epoch data files — debris from crashed or
         aborted epochs that wrote their content-addressed file but never
         reached the manifest swap. Rename-free commits make such debris
         normal; it is invisible to readers (manifest decides visibility)
         but costs storage. A file is kept iff the current manifest or any
-        commit record references it. Safe to run any time the writer
-        lock is held (files for an IN-FLIGHT epoch > self.epoch are
-        orphans only if no writer is active)."""
+        commit record references it. Call ``sinks.lake.gc_orphans``,
+        which holds the writer lock."""
         referenced: set[str] = {ent["file"] for ent in self.partitions.values()}
         for rec in self.lineage():
             for ent in rec["partitions"].values():

@@ -86,7 +86,8 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
         SynthEventSource,
         replay,
     )
-    from go_datax_ray.sinks.lake import compact, delete_where, read_lake, read_lake_table
+    from go_datax_ray.sinks.lake import (
+        compact, delete_where, gc_history, gc_orphans, read_lake, read_lake_table)
     from go_datax_ray.sinks.views import ViewSpec, read_view
     from go_datax_ray.state.manifest import Manifest
     from go_datax_ray.synth import EventGen, SynthConfig
@@ -227,7 +228,7 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
     man = Manifest.load(lake)
     eps = sorted(snapshots)
     horizon = eps[len(eps) // 2]
-    removed = man.gc_history(keep_epochs_after=horizon)
+    removed = gc_history(lake, keep_epochs_after=horizon)
     stats["gc_history_removed"] = removed
     for ep in eps:
         if ep > horizon:
@@ -246,13 +247,12 @@ def run_soak(lake: str, *, cycles: int = 4, events_per_cycle: int = 3000,
     debris = final_path(lake, 0, man.epoch + 50)
     with fsh.open(debris, "wb") as f:
         f.write(b"not really parquet")
-    man2 = Manifest.load(lake)
-    n_orphans = man2.gc_orphans()
+    n_orphans = gc_orphans(lake)
     assert not fsh.exists(debris), "gc_orphans left the planted orphan"
     assert _digest(_final(lake)) == snapshots[eps[-1]], "gc_orphans touched live data"
     stats["gc_orphans_removed"] = n_orphans
     stats["wall_s"] = round(time.perf_counter() - t0, 2)
-    stats["epochs"] = man2.epoch + 1
+    stats["epochs"] = Manifest.load(lake).epoch + 1
     stats["final_rows"] = len(oracle_final())
     return stats
 

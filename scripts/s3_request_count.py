@@ -33,6 +33,28 @@ BASE, TAIL, CYCLES, PARTITIONS = 40_000, 4_000, 3, 32
 LAKE = "s3://probe/lake"
 
 
+def counting_moto(port: int):
+    """Start a loopback moto S3 server on ``port`` behind a WSGI wrapper
+    that logs every request as ``(type, path)``, the type being the HTTP
+    method, or LIST for a bucket listing. Returns ``(server, log)``;
+    stop it with ``server.shutdown()``."""
+    from moto.server import DomainDispatcherApplication, create_backend_app
+    from werkzeug.serving import make_server
+
+    app = DomainDispatcherApplication(create_backend_app)
+    log: list[tuple[str, str]] = []
+
+    def counting(environ, start_response):
+        method = environ["REQUEST_METHOD"]
+        listing = method == "GET" and "list-type" in environ.get("QUERY_STRING", "")
+        log.append(("LIST" if listing else method, environ.get("PATH_INFO", "")))
+        return app(environ, start_response)
+
+    srv = make_server("127.0.0.1", port, counting, threaded=True)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    return srv, log
+
+
 def main() -> None:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -45,25 +67,8 @@ def main() -> None:
     })
     import boto3
     import ray
-    from moto.server import DomainDispatcherApplication, create_backend_app
-    from werkzeug.serving import make_server
 
-    app = DomainDispatcherApplication(create_backend_app)
-    counts: collections.Counter = collections.Counter()
-    delta_keys: set[str] = set()
-    lock = threading.Lock()
-
-    def counting(environ, start_response):
-        method, path = environ["REQUEST_METHOD"], environ.get("PATH_INFO", "")
-        listing = method == "GET" and "list-type" in environ.get("QUERY_STRING", "")
-        with lock:
-            counts["LIST" if listing else method] += 1
-            if method == "PUT" and "/_delta/" in path:
-                delta_keys.add(path)
-        return app(environ, start_response)
-
-    srv = make_server("127.0.0.1", port, counting, threaded=True)
-    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    srv, log = counting_moto(port)
     boto3.client("s3").create_bucket(Bucket="probe")
 
     ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
@@ -87,19 +92,19 @@ def main() -> None:
                        extract_text=True)
 
     out = {}
-    counts.clear()
+    log.clear()
     replay(ParquetWalSource(files, 0, BASE), cfg)
-    out["base"] = dict(sorted(counts.items()))
+    out["base"] = dict(sorted(collections.Counter(t for t, _ in log).items()))
     for c in range(CYCLES):
-        counts.clear()
-        delta_keys.clear()
+        log.clear()
         t0 = time.perf_counter()
         replay(ParquetWalSource(files, 0, BASE + TAIL * (c + 1)), cfg)
         wall = time.perf_counter() - t0
-        snap = dict(sorted(counts.items()))
+        snap = dict(sorted(collections.Counter(t for t, _ in log).items()))
+        delta_files = len({p for t, p in log if t == "PUT" and "/_delta/" in p})
         touched = len(Manifest.load(LAKE).lineage()[-1]["partitions"])
         out[f"cycle{c}"] = {**snap, "total": sum(snap.values()), "wall_s": round(wall, 2),
-                            "touched": touched, "delta_files": len(delta_keys)}
+                            "touched": touched, "delta_files": delta_files}
     print(json.dumps(out))
     ray.shutdown()
     srv.shutdown()

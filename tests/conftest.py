@@ -29,18 +29,29 @@ os.environ.update({
 
 
 @pytest.fixture(scope="session")
-def moto_server():
-    """One loopback moto S3 server for the whole session; yields its
-    endpoint. Tests create the buckets they use."""
+def moto_requests():
+    """One loopback moto S3 server for the whole session, behind the
+    request-counting wrapper of ``scripts/s3_request_count.py``; yields
+    its log of ``(type, path)`` requests. Tests create the buckets they
+    use."""
     pytest.importorskip("moto")
     pytest.importorskip("boto3")
-    from moto.server import ThreadedMotoServer
+    import importlib.util
 
-    port = int(S3_TEST_ENDPOINT.rsplit(":", 1)[1])
-    srv = ThreadedMotoServer(ip_address="127.0.0.1", port=port, verbose=False)
-    srv.start()
-    yield S3_TEST_ENDPOINT
-    srv.stop()
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "s3_request_count.py")
+    spec = importlib.util.spec_from_file_location("s3_request_count", path)
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    srv, log = counter.counting_moto(int(S3_TEST_ENDPOINT.rsplit(":", 1)[1]))
+    yield log
+    srv.shutdown()
+
+
+@pytest.fixture(scope="session")
+def moto_server(moto_requests):
+    """The session's moto S3 endpoint."""
+    return S3_TEST_ENDPOINT
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -117,7 +117,7 @@ def test_lake_cli_gc_loads_manifest_inside_lock(tmp_path, monkeypatch):
     import os
 
     from go_datax_ray.lake_cli import main
-    from go_datax_ray.state import fs as state_fs
+    from go_datax_ray.sinks import lake as sinks_lake
     from go_datax_ray.state.manifest import Manifest, final_path
 
     lake = str(tmp_path / "lake")
@@ -132,7 +132,7 @@ def test_lake_cli_gc_loads_manifest_inside_lock(tmp_path, monkeypatch):
                          schema_json="", wall_s=0.0)
 
     commit(0)
-    real_lock = state_fs.writer_lock
+    real_lock = sinks_lake.writer_lock
 
     @contextlib.contextmanager
     def lock_after_a_commit(lake_dir):
@@ -140,7 +140,7 @@ def test_lake_cli_gc_loads_manifest_inside_lock(tmp_path, monkeypatch):
         with real_lock(lake_dir):
             yield
 
-    monkeypatch.setattr(state_fs, "writer_lock", lock_after_a_commit)
+    monkeypatch.setattr(sinks_lake, "writer_lock", lock_after_a_commit)
     assert main(["gc-orphans", lake]) == 0
     files = Manifest.load(lake).committed_files()
     assert files and all(os.path.exists(f) for f in files)

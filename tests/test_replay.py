@@ -407,6 +407,31 @@ def test_lake_cli_get_point_lookup(tmp_path, capsys):
     assert rows[0]["html"].startswith("<")  # binary summarised, not dumped
 
 
+def test_lake_cli_count_without_ray(tmp_path, monkeypatch, capsys):
+    """lake_cli count equals read_lake(...).count(), now and as of an
+    earlier epoch, and neither starts nor stops a Ray session."""
+    import json as _json
+
+    import ray
+
+    from go_datax_ray.lake_cli import main as cli_main
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(N_EVENTS, CFG), ReplayConfig(
+        lake_dir=lake, num_partitions=4, epoch_size=1000, retain_history=True))
+    want = {e: read_lake(lake, asof_epoch=e).count() for e in (None, 1)}
+    assert want[None] != want[1]
+
+    def no_ray(*a, **kw):
+        raise AssertionError("lake_cli count touched the Ray session")
+
+    monkeypatch.setattr(ray, "init", no_ray)
+    monkeypatch.setattr(ray, "shutdown", no_ray)
+    for e, n in want.items():
+        assert cli_main(["count", lake] + ([] if e is None else ["--asof-epoch", str(e)])) == 0
+        assert _json.loads(capsys.readouterr().out) == {"rows": n, "asof_epoch": e}
+
+
 def test_read_lake_where_pushdown(tmp_path):
     """where triplets push into the parquet scan and compose with the
     tombstone filter; string values against numeric columns coerce via

@@ -67,6 +67,24 @@ def test_s3_lake_replay_round_trip(s3_bucket, tmp_path):
     assert man.fsh.find(man.fsh.join("_delta")) == {}
 
 
+def test_s3_tail_cycle_request_budget(s3_bucket, moto_requests):
+    """One tail cycle on the object store sends at most 6 requests per
+    partition it touches, plus 10, counted at the moto endpoint: every
+    merge input is one GET, with no HEADs before it."""
+    import collections
+
+    lake = f"s3://{s3_bucket}/budget"
+    cfg = SynthConfig(seed=3, n_urls=2000)
+    rc = ReplayConfig(lake_dir=lake, num_partitions=32, epoch_size=10**9)
+    replay(SynthEventSource(4000, cfg), rc)
+    moto_requests.clear()
+    assert replay(SynthEventSource(4400, cfg), rc).epochs == 1
+    counts = collections.Counter(t for t, _ in moto_requests)
+    touched = len(Manifest.load(lake).lineage()[-1]["partitions"])
+    assert touched >= 16
+    assert sum(counts.values()) <= 6 * touched + 10, (touched, dict(counts))
+
+
 def test_oss_reader_writer_over_s3(s3_bucket):
     out = f"s3://{s3_bucket}/oss_out"
     job = {

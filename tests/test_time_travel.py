@@ -6,7 +6,7 @@ import pyarrow as pa
 import pytest
 
 from go_datax_ray.pipelines.cdc_replay import ReplayConfig, SynthEventSource, replay
-from go_datax_ray.sinks.lake import read_lake
+from go_datax_ray.sinks.lake import gc_history, gc_orphans, read_lake
 from go_datax_ray.state.manifest import Manifest
 from go_datax_ray.synth import EventGen, SynthConfig
 
@@ -45,8 +45,7 @@ def test_gc_history_keeps_retained_views(tmp_path):
     lake = str(tmp_path / "lake")
     cfg = ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1000, retain_history=True)
     replay(SynthEventSource(N, CFG), cfg)
-    man = Manifest.load(lake)
-    removed = man.gc_history(keep_epochs_after=1)  # keep epochs 2,3
+    removed = gc_history(lake, keep_epochs_after=1)  # keep epochs 2,3
     assert removed > 0
     # retained views still readable and correct
     t2 = read_lake(lake, columns=["url", "lsn"], asof_epoch=2).to_pandas()
@@ -119,11 +118,11 @@ def test_gc_orphans_removes_uncommitted_epoch_files(tmp_path):
     # crash debris: a "future epoch" file that never reached the manifest
     orphan = final_path(lake, 1, man.epoch + 1)
     pq.write_table(pa.table({"url": ["zombie"]}), orphan)
-    assert man.gc_orphans() == 1
+    assert gc_orphans(lake) == 1
     assert not os.path.exists(orphan)
     # committed state untouched, all referenced files intact
     assert read_lake_table(lake).equals(before)
-    assert man.gc_orphans() == 0
+    assert gc_orphans(lake) == 0
 
 
 def test_delete_where_respects_time_travel(tmp_path):

@@ -255,11 +255,11 @@ def test_compaction_epoch_hides_a_crashed_attempts_view_delta(tmp_path):
 
 
 def test_maintenance_ops_take_the_writer_lock(tmp_path):
-    """compact and delete_where fail fast while another job holds the
-    writer lock, and change nothing."""
+    """compact, delete_where and the gc ops fail fast while another job
+    holds the writer lock, and change nothing."""
     import pytest
 
-    from go_datax_ray.sinks.lake import compact, delete_where
+    from go_datax_ray.sinks.lake import compact, delete_where, gc_history, gc_orphans
     from go_datax_ray.state.fs import writer_lock
 
     lake = str(tmp_path / "lake")
@@ -268,7 +268,9 @@ def test_maintenance_ops_take_the_writer_lock(tmp_path):
                         views=(SPEC,)))
     before = _lake_files(lake)
     ops = [lambda: compact(lake),
-           lambda: delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))]
+           lambda: delete_where(lake, [["lang", "=", "en"]], views=(SPEC,)),
+           lambda: gc_orphans(lake),
+           lambda: gc_history(lake, keep_epochs_after=0)]
     with writer_lock(lake):  # an in-flight replay
         for op in ops:
             with pytest.raises(RuntimeError, match="another job holds the lake writer lock"):
@@ -277,6 +279,37 @@ def test_maintenance_ops_take_the_writer_lock(tmp_path):
     # once the lock is free, each runs
     assert compact(lake)["epoch"] == 3
     assert delete_where(lake, [["lang", "=", "en"]], views=(SPEC,))["epoch"] == 4
+    assert gc_orphans(lake) == 0 and gc_history(lake, keep_epochs_after=0) == 0
+
+
+def test_maintenance_epochs_rewrite_only_changed_partitions(tmp_path):
+    """A delete_where of one url commits only that url's partition, and
+    every other partition keeps its file, view state included; a compact
+    with no tombstone to drop commits nothing and reports the current
+    epoch."""
+    from go_datax_ray.sinks.lake import compact, delete_where
+    from go_datax_ray.state.manifest import Manifest
+
+    lake = str(tmp_path / "lake")
+    replay(SynthEventSource(3000, SynthConfig(n_urls=300)),
+           ReplayConfig(lake_dir=lake, num_partitions=8, views=(SPEC,)))
+    assert compact(lake)["dropped_tombstones"] > 0
+    before = Manifest.load(lake)
+    url = read_lake_table(lake).column("url")[0].as_py()
+    out = delete_where(lake, [["url", "=", url]])
+    assert out == {"deleted": 1, "epoch": before.epoch + 1}
+    after = Manifest.load(lake)
+    changed = [pid for pid, ent in before.partitions.items()
+               if after.partitions[pid]["file"] != ent["file"]]
+    assert list(after.lineage()[-1]["partitions"]) == changed and len(changed) == 1
+    assert _view(lake) == _recompute(lake)
+    # the delete's tombstone is at an lsn below the watermark: drop it,
+    # then nothing is left to drop
+    assert compact(lake)["dropped_tombstones"] == 1
+    files = _lake_files(lake)
+    epoch = Manifest.load(lake).epoch
+    assert compact(lake) == {"dropped_tombstones": 0, "epoch": epoch}
+    assert Manifest.load(lake).epoch == epoch and _lake_files(lake) == files
 
 
 def test_replay_without_views_leaves_the_view_exact(tmp_path):
