@@ -8,15 +8,14 @@ pipeline per epoch:
 
     source.read(lo, hi)                      # split: lsn-range read tasks
       .map_batches(prepare)                  # drop text, LWW combine,
-                                             # add_part_id
+                                             # add_part_id, in the read task
       .write_parquet(partition_cols=[part_id])   # per-partition deltas
     -> one merge task per CPU, each over a   # committed file + deltas,
        run of sorted partition ids           # from one listing of them
     -> driver commits the epoch atomically (manifest + rename)
 
-``ParquetWalSource`` plans the epoch from its segment footers
-(``fragments``) and runs the same ``prepare`` inside its row-group read
-task instead (see ``_prepared_ds``).
+``ParquetWalSource.read`` plans the epoch from its segment footers
+(``fragments``) and reads one bundle of row groups per task.
 
 Delta files are lz4 without dictionary pages or statistics
 (``_DELTA_PARQUET_OPTS``); the committed files the merge writes are
@@ -67,9 +66,11 @@ _DELTA_PARQUET_OPTS = {"compression": "lz4", "use_dictionary": False,
 # in-batch duplicate ratio is below this pass through uncombined; the
 # merge LWWs anyway (stages.lww).
 _COMBINE_MIN_REDUCTION = 0.05
-# Rows per prepare call: the delta write emits one file per (block,
-# partition), so larger blocks give fewer, larger delta files and bound
-# the merge's per-file open cost. 32k rows x ~4 KB pages ~ 128 MB.
+# Events per source block, and so per prepare call: the delta write emits
+# one file per (block, partition), so larger blocks give fewer, larger
+# delta files and bound the merge's per-file open cost. At the lake's
+# ~1 KB pages a block is about 36 MB, and bench.py's sf0.1 epoch writes
+# 16,384 delta files; sizing blocks by bytes instead is still open.
 _PREPARE_ROWS = 32768
 # Ray Data reserves object store for each task it has not measured yet
 # at target_max_block_size (128 MiB by default) per pending output
@@ -81,14 +82,15 @@ _MERGE_TARGET_BLOCK_BYTES = 1 << 20
 
 
 class EventSource(Protocol):
-    """A WAL/binlog tail abstraction: total extent + range read.
-    ``ParquetWalSource`` offers ``fragments(lo, hi)`` instead of ``read``
-    (see ``_prepared_ds``)."""
+    """A WAL/binlog tail abstraction: total extent + range read. ``read``
+    returns None when it knows [lo, hi) holds no event. The replay
+    prepares each block in one call, in the task that made it, so a source
+    makes blocks of about ``_PREPARE_ROWS`` events."""
 
     def lsn_bounds(self) -> tuple[int, int]:  # [lo, hi) of available events
         ...
 
-    def read(self, lo: int, hi: int) -> Any:  # ray.data.Dataset of CDC events
+    def read(self, lo: int, hi: int) -> Any:  # ray.data.Dataset of CDC events, or None
         ...
 
 
@@ -103,14 +105,12 @@ class SynthEventSource:
         return (0, self.n_events)
 
     def read(self, lo: int, hi: int):
+        """Even blocks of at most ``_PREPARE_ROWS`` events, one task each."""
         import ray.data as rd
 
-        return rd.range(hi - lo).map_batches(
-            gen_events,
-            fn_args=(self.cfg, lo),
-            batch_format="pyarrow",
-            batch_size=8192,
-        )
+        n = -(-(hi - lo) // _PREPARE_ROWS)
+        return rd.range(hi - lo, override_num_blocks=n).map_batches(
+            gen_events, fn_args=(self.cfg, lo), batch_format="pyarrow", batch_size=None)
 
 
 class DatasetEventSource:
@@ -125,6 +125,9 @@ class DatasetEventSource:
         return self._bounds
 
     def read(self, lo: int, hi: int):
+        """Filters ``_PREPARE_ROWS`` rows per call, but Ray joins one
+        task's filtered batches into blocks of up to its target block size
+        (128 MiB), so one block can hold a whole large input block."""
         lo_s, hi_s = pa.scalar(lo, pa.int64()), pa.scalar(hi, pa.int64())
         return self.ds.map_batches(
             lambda t: t.filter(
@@ -132,14 +135,16 @@ class DatasetEventSource:
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
+            batch_size=_PREPARE_ROWS,
         )
 
 
 class ParquetWalSource:
     """Replay WAL segments persisted as Parquet. ``fragments`` plans each
-    epoch from the segment footers, with lsn row-group pruning; the
-    replay reads those row groups inside its prepare tasks
-    (``_prepared_ds``), so the source needs no ``read``."""
+    epoch from the segment footers, with lsn row-group pruning; ``read``
+    reads the planned row groups in bundles, one task and one block per
+    bundle. The replay's prepare runs in that task, so only its winners,
+    not the raw html, enter the object store."""
 
     def __init__(self, paths: list[str] | str, lsn_lo: int, lsn_hi: int):
         self.paths = paths
@@ -165,8 +170,8 @@ class ParquetWalSource:
         """The epoch's read plan: one ``{"path", "rg", "rows"}`` per row
         group overlapping [lo, hi), in ``_files()`` order, then row-group
         order. Row groups whose lsn statistics fall outside the range are
-        pruned, and ``rows`` is the footer's row count, which sizes the
-        prepare tasks (``_prepared_ds``). Plain driver-side loop over the
+        pruned, and ``rows`` is the footer's row count, which sizes
+        ``read``'s bundles. Plain driver-side loop over the
         segment footers: about 0.13 ms per segment on a 4-vCPU VM
         (BASELINE.md §4c), cheaper than any task stage."""
         import pyarrow.parquet as pq
@@ -184,6 +189,46 @@ class ParquetWalSource:
                 out.append({"path": path, "rg": rg, "rows": meta.num_rows})
         return out
 
+    def read(self, lo: int, hi: int):
+        """None when no row group overlaps [lo, hi). The planned row
+        groups fill bundles in order up to ``_PREPARE_ROWS`` footer rows (a
+        larger one is a bundle of its own); one task per bundle index reads
+        them, filters to [lo, hi) and returns one block, or none if empty.
+        A failed read names the segment, the row group and the range."""
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        bundles: list[list[dict]] = []
+        rows = 0
+        for frag in self.fragments(lo, hi):
+            if not bundles or rows + frag["rows"] > _PREPARE_ROWS:
+                bundles.append([])
+                rows = 0
+            bundles[-1].append(frag)
+            rows += frag["rows"]
+        if not bundles:
+            return None
+
+        def read_bundle(batch: dict):
+            tables = []
+            for frag in bundles[int(batch["i"][0])]:  # batch_size=1
+                try:
+                    t = pq.ParquetFile(frag["path"]).read_row_group(frag["rg"])
+                    lsn = t.column("lsn")
+                    t = t.filter(pc.and_(pc.greater_equal(lsn, pa.scalar(lo)),
+                                         pc.less(lsn, pa.scalar(hi))))
+                except Exception as e:
+                    raise RuntimeError(f"WAL read of {frag['path']} row group {frag['rg']}"
+                                       f" for lsn [{lo}, {hi}) failed: {e!r}") from e
+                if t.num_rows:
+                    tables.append(t)
+            if tables:
+                yield pa.concat_tables(tables)
+
+        return rd.from_items(
+            [{"i": i} for i in range(len(bundles))], override_num_blocks=len(bundles)
+        ).map_batches(read_bundle, batch_format="numpy", batch_size=1)
+
 
 def make_prepare(cfg: "ReplayConfig"):
     """The one prepare function every source's events go through: drop
@@ -199,70 +244,6 @@ def make_prepare(cfg: "ReplayConfig"):
         return add_part_id(t, key=key, num_partitions=nparts, hash_fn=hash_fn)
 
     return prepare
-
-
-def _prepared_ds(source, lo: int, hi: int, cfg: "ReplayConfig"):
-    """The epoch's prepared events as a Dataset, or None when a
-    fragment-aware source has nothing in [lo, hi).
-
-    Sources with ``fragments()`` (ParquetWalSource) are FUSED: each map
-    task reads its row groups and runs ``prepare`` in the same function.
-    Ray 2.49 never fuses ReadParquet with downstream map_batches, so a
-    separate read stage would round-trip the raw payload (html) through
-    the object store before prepare — measured as the epoch's
-    worst-scaling phase at 8->32 cpus (memory bandwidth, not CPU). Here
-    only the LWW-combined winners enter the object store. Each task
-    reads one bundle of whole row groups, filled greedily in fragment
-    order up to ``_PREPARE_ROWS`` footer rows; a row group larger than
-    that is a bundle of its own. The task gets its bundle's index into
-    the list the closure carries.
-    NOTE: the read must be fused MANUALLY in one function — composing
-    map_batches stages with a batch_size on the tail makes Ray's fusion
-    unify the batch size across the whole fused operator, coalescing the
-    tiny path-items input into ONE serial task (measured 22 s vs 3 s).
-
-    Every other source gets one ``map_batches(prepare)`` after
-    ``source.read()``."""
-    import ray.data as rd
-
-    prepare = make_prepare(cfg)
-    if not hasattr(source, "fragments"):
-        return source.read(lo, hi).map_batches(
-            prepare, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=_PREPARE_ROWS,
-        )
-    frags = source.fragments(lo, hi)
-    if not frags:
-        return None
-    bundles: list[list[dict]] = [[]]
-    rows = 0
-    for frag in frags:
-        if bundles[-1] and rows + frag["rows"] > _PREPARE_ROWS:
-            bundles.append([])
-            rows = 0
-        bundles[-1].append(frag)
-        rows += frag["rows"]
-
-    def read_and_prepare(batch: dict):
-        import pyarrow.parquet as pq
-
-        tables = []
-        for i in batch["i"]:
-            for frag in bundles[int(i)]:
-                t = pq.ParquetFile(frag["path"]).read_row_group(frag["rg"])
-                lsn = t.column("lsn")
-                t = t.filter(
-                    pc.and_(pc.greater_equal(lsn, pa.scalar(lo)),
-                            pc.less(lsn, pa.scalar(hi)))
-                )
-                if t.num_rows:
-                    tables.append(t)
-        if tables:  # a filtered-empty bundle yields no block
-            yield prepare(pa.concat_tables(tables))
-
-    return rd.from_items(
-        [{"i": i} for i in range(len(bundles))], override_num_blocks=len(bundles)
-    ).map_batches(read_and_prepare, batch_format="numpy", batch_size=1)
 
 
 @dataclass
@@ -333,8 +314,11 @@ def _write_and_merge(ds, cfg: ReplayConfig, epoch: int,
     delta_dir = fsh.join("_delta", f"epoch-{epoch:06d}")
     fsh.rmtree(delta_dir)  # idempotent epoch restart
     t0 = time.perf_counter()
-    ds.write_parquet(delta_dir, partition_cols=["part_id"],
-                     filesystem=fsh.pafs, **_DELTA_PARQUET_OPTS)
+    try:  # runs the source's read and prepare too
+        ds.write_parquet(delta_dir, partition_cols=["part_id"],
+                         filesystem=fsh.pafs, **_DELTA_PARQUET_OPTS)
+    except Exception as e:
+        raise RuntimeError(f"read, prepare or delta write of epoch {epoch} failed: {e!r}") from e
     t1 = time.perf_counter()
     listing = fsh.find(delta_dir)  # path order: the merge's tie-break order
     inputs: dict[int, tuple[str | None, list[str]]] = {}  # pid -> (committed, deltas)
@@ -397,12 +381,19 @@ def _replay_locked(source: EventSource, cfg: ReplayConfig) -> ReplayResult:
     res = ReplayResult(lake_dir=cfg.lake_dir)
     t_total = time.perf_counter()
     epoch = man.epoch
+    prepare = make_prepare(cfg)
     lo = start
     while lo < src_hi:
         hi = min(lo + cfg.epoch_size, src_hi)
         epoch += 1
         t0 = time.perf_counter()
-        ds = _prepared_ds(source, lo, hi, cfg)
+        ds = source.read(lo, hi)
+        if ds is not None:
+            # batch_size=None: a batch size on this last fused stage makes
+            # Ray coalesce the read's inputs (one row per WAL bundle) into
+            # one serial task (measured 22 s instead of 3 s)
+            ds = ds.map_batches(prepare, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None)
         # per-phase seconds and delta counts; an epoch with nothing to
         # write keeps the zeros
         phases = {"scan_s": time.perf_counter() - t0, "prepare_write_s": 0.0,

@@ -182,10 +182,10 @@ class Manifest:
         phases: dict[str, Any] | None = None,
     ) -> bool:
         """Atomically publish one epoch. ``entries`` rows come from the merge
-        stage: {pid, rows, events, max_lsn}; an entry's other fields (the
-        merge's ``bytes``) stay out of the record. ``phases`` (the replay's
-        per-phase seconds and byte counts) is stored in the commit record
-        next to ``wall_s``; like it, it is per-attempt telemetry outside
+        stage: {pid, rows, events, max_lsn}; the record keeps an entry's
+        ``bytes`` (its file's size) too, when it has them. ``phases`` (the
+        replay's per-phase seconds and byte counts) is stored in the commit
+        record next to ``wall_s``; like it, it is per-attempt telemetry outside
         the record's identity (``_stable_fields``). Returns False (no-op)
         if the epoch is already committed — the idempotent-replay
         guarantee."""
@@ -232,6 +232,7 @@ class Manifest:
                     "rows": int(e["rows"]),
                     "events": int(e["events"]),
                     "max_lsn": int(e["max_lsn"]),
+                    **({"bytes": int(e["bytes"])} if "bytes" in e else {}),
                 }
                 for e in entries
             },

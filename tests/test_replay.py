@@ -619,17 +619,45 @@ def test_epoch_phase_fields(tmp_path, capsys):
         assert {k: rec[k] for k in (*stored, "wall_s")} == {
             k: st[k] for k in (*stored, "wall_s")}
         assert "commit_s" not in rec
-        # final_bytes is the size of the files the record names; the
-        # partitions map keeps its fields
+        # final_bytes is the size of the files the record names, and each
+        # partition's bytes is the size of its own file
         assert rec["final_bytes"] == sum(
             os.path.getsize(os.path.join(lake, p["file"])) for p in rec["partitions"].values())
-        assert all(set(p) == {"file", "rows", "events", "max_lsn"}
-                   for p in rec["partitions"].values())
+        for p in rec["partitions"].values():
+            assert set(p) == {"file", "rows", "events", "max_lsn", "bytes"}
+            assert p["bytes"] == os.path.getsize(os.path.join(lake, p["file"]))
     # a compaction epoch records the bytes it rewrote too
     compact(lake, retain_history=True)
     rec = Manifest.load(lake).lineage()[-1]
     assert rec["final_bytes"] == sum(
         os.path.getsize(os.path.join(lake, p["file"])) for p in rec["partitions"].values())
+    assert all(p["bytes"] == os.path.getsize(os.path.join(lake, p["file"]))
+               for p in rec["partitions"].values())
+
+
+def test_result_independent_of_source_blocks(tmp_path):
+    """The same events in one block and in many small ones commit the
+    same table and the same per-partition lineage events: block
+    structure moves only the prepare batches."""
+    import ray.data as rd
+
+    events = EventGen(CFG)(pa.table({"id": np.arange(N_EVENTS, dtype=np.int64)}))
+
+    def run(name, ds):
+        lake = str(tmp_path / name)
+        replay(DatasetEventSource(ds, 0, N_EVENTS),
+               ReplayConfig(lake_dir=lake, num_partitions=4, epoch_size=1500))
+        lineage = [{pid: p["events"] for pid, p in rec["partitions"].items()}
+                   for rec in Manifest.load(lake).lineage()]
+        return read_lake_table(lake, final_state=False).sort_by("url"), lineage
+
+    one_t, one_l = run("one", rd.from_arrow(events))
+    many = rd.from_arrow([events.slice(i, 97) for i in range(0, N_EVENTS, 97)])
+    assert many.num_blocks() > 40
+    many_t, many_l = run("many", many)
+    assert len(one_l) == 3
+    assert one_t.num_rows > 0 and one_t.equals(many_t)
+    assert one_l == many_l
 
 
 def test_upsert_of_any_arrow_column_types(tmp_path):

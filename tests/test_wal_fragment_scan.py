@@ -1,7 +1,8 @@
 """The WAL scan: ``ParquetWalSource.fragments`` plans an epoch from the
 segment footers in one driver-side loop (lsn row-group pruning, list
-order, footer row counts), and ``_prepared_ds`` sizes its prepare tasks
-from those row counts."""
+order, footer row counts), and ``ParquetWalSource.read`` sizes its read
+tasks, each of which the replay's prepare runs in, from those row
+counts. A failed read names its epoch, segment and row group."""
 
 from __future__ import annotations
 
@@ -100,6 +101,40 @@ def test_oversize_row_groups_get_one_prepare_task_each(ray_session, tmp_path,
     assert all(lo // seg == hi // seg for lo, hi in delta_lsns), delta_lsns
 
 
+def test_corrupt_wal_segment_error_names_epoch_path_row_group(ray_session, tmp_path):
+    """A segment whose footer reads but whose second row group does not
+    fails the epoch that reads it: the error names the epoch, the
+    segment, the row group and the lsn range, and the epoch before it
+    stays committed."""
+    import pytest
+
+    from go_datax_ray.pipelines.cdc_replay import ReplayConfig, replay
+    from go_datax_ray.state.manifest import Manifest
+
+    from go_datax_ray.synth import EventGen, SynthConfig
+
+    events = EventGen(SynthConfig(seed=2, n_urls=300, payload_bytes=16))(
+        pa.table({"id": np.arange(4000, dtype=np.int64)}))
+    wal, hi = str(tmp_path / "wal"), 4000
+    (tmp_path / "wal").mkdir()
+    for i in range(2):
+        pq.write_table(events.slice(2000 * i, 2000), f"{wal}/seg-{i:05d}.parquet",
+                       row_group_size=1000)
+    bad = f"{wal}/seg-00001.parquet"
+    page = pq.read_metadata(bad).row_group(1).column(0).data_page_offset
+    with open(bad, "r+b") as f:
+        f.seek(page)
+        f.write(b"\xff" * 64)
+    lake = str(tmp_path / "lake")
+    with pytest.raises(Exception) as ei:
+        replay(ParquetWalSource(wal, 0, hi),
+               ReplayConfig(lake_dir=lake, num_partitions=2, epoch_size=2000))
+    msg = str(ei.value)
+    assert "of epoch 1 failed" in msg, msg
+    assert f"{bad} row group 1 for lsn [2000, 4000)" in msg, msg
+    assert Manifest.load(lake).epoch == 0
+
+
 def test_upsert_convenience_path_bounded(ray_session, tmp_path):
     """VERDICT r4 'what's wrong' #2: the parquet-sink upsert path
     materialises on the driver to assign dense lsns — the maxDriverRows
@@ -175,9 +210,9 @@ def test_multi_epoch_merge_matches_oracle_all_columns(ray_session, tmp_path):
 
 
 def test_fused_and_generic_prepare_identical(ray_session, tmp_path):
-    """One prepare function: the same events through the fused
-    ParquetWalSource row-group task and through the generic
-    DatasetEventSource map give identical lakes (every column, schema)
+    """One prepare path: the same events through ParquetWalSource's
+    row-group bundles and through DatasetEventSource's lsn filter give
+    identical lakes (every column, schema)
     and identical per-epoch applied counts, over a WAL with lsn gaps and
     rewritten columns, with engine-derived text."""
     import pyarrow.compute as pc
